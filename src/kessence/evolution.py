@@ -39,12 +39,14 @@ from scipy.integrate import solve_ivp
 
 from .errors import FitDomain, SingularMassMatrix, StepFailure
 from .model import (
-    DEN_GUARD,
     KineticModel,
     PotentialSpec,
+    eos_w,
     eval_F,
     eval_F_X,
     eval_F_XX,
+    guarded_div,
+    sound_speed,
 )
 
 __all__ = [
@@ -199,18 +201,9 @@ class Trajectory:
         else:
             X = np.asarray(X, dtype=float)
 
-        F = eval_F(model, X)
+        w, _ = eos_w(model, X, masked=True)
+        cs2, _ = sound_speed(model, X, masked=True)
         F_X = eval_F_X(model, X)
-        lead = 2.0 * X * F_X
-        den_w = lead - F
-        ok_w = np.abs(den_w) > DEN_GUARD * np.maximum(np.abs(lead), np.abs(F))
-        w = np.where(ok_w, F / np.where(ok_w, den_w, 1.0), np.nan)
-
-        curv = 2.0 * X * eval_F_XX(model, X)
-        den_c = F_X + curv
-        ok_c = np.abs(den_c) > DEN_GUARD * np.maximum(np.abs(F_X), np.abs(curv))
-        cs2 = np.where(ok_c, F_X / np.where(ok_c, den_c, 1.0), np.nan)
-
         Q = X * F_X * F_X * a ** 6
         return cls(model=model, t=t, a=a, phi=phi, phidot=phidot,
                    X=X, w=w, cs2=cs2, Q=Q)
@@ -232,7 +225,7 @@ def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
     F_X = eval_F_X(model, X)
     curv = 2.0 * X * eval_F_XX(model, X)
     coef = F_X + curv
-    if abs(coef) <= DEN_GUARD * max(abs(F_X), abs(curv)):
+    if guarded_div(1.0, coef, max(abs(F_X), abs(curv)))[1]:
         raise SingularMassMatrix(
             f"F_X + 2*X*F_XX vanished at t={t}, X={X}; "
             "the field acceleration is undetermined there")

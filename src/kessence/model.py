@@ -22,8 +22,10 @@ substituted for them; the CLI reports both side by side so the discrepancy
 stays visible.
 
 Everything is dimensionless (natural units). Functions accept floats or
-numpy arrays and broadcast; guards against rational-function poles raise
-:class:`~kessence.errors.DegenerateDenominator`.
+numpy arrays and broadcast. Every rational-function pole goes through one
+rule, `guarded_div`: the closed forms raise
+:class:`~kessence.errors.DegenerateDenominator` at a pole, or with
+masked=True return (values, pole mask) with NaN at the poles.
 """
 
 from __future__ import annotations
@@ -40,10 +42,26 @@ from .errors import DegenerateDenominator
 DEN_GUARD = 1e-12
 
 
-def _check_denominator(den, scale, context: str) -> None:
-    """Raise if |den| <= DEN_GUARD * scale anywhere (works elementwise)."""
-    if np.any(np.abs(den) <= DEN_GUARD * scale):
-        raise DegenerateDenominator(context)
+def guarded_div(num, den, scale):
+    """num / den under the pole rule |den| <= DEN_GUARD * scale.
+
+    Returns (quotient, pole): the quotient is NaN where the rule fires and
+    pole is that mask (a bool for scalar inputs, an array otherwise).
+    """
+    pole = abs(den) <= DEN_GUARD * scale
+    if isinstance(pole, (bool, np.bool_)):
+        return (np.nan if pole else num / den), pole
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pole, np.nan, num / den), pole
+
+
+def _checked(values, pole, masked: bool, error: Exception):
+    """(values, pole) if masked; else values, raising error at any pole."""
+    if masked:
+        return values, pole
+    if np.any(pole):
+        raise error
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +177,8 @@ class Regime:
 
 
 # Classification thresholds (documented in the README). The label bands in w
-# are mutually disjoint, so the if-chain order below does not matter.
+# are mutually disjoint, so the condition order in classify_regimes does not
+# matter.
 W_BAND = 0.05
 CS2_DUST_MAX = 0.01
 
@@ -194,7 +213,7 @@ def density(model: KineticModel, potential: PotentialSpec, phi, X):
     return potential.value(phi) * (2.0 * X * eval_F_X(model, X) - eval_F(model, X))
 
 
-def eos_w(model: KineticModel, X):
+def eos_w(model: KineticModel, X, *, masked: bool = False):
     """Equation of state w = F / (2 X F_X - F); the potential cancels.
 
     At X = X0 the derivative term vanishes and w = -1 exactly. F itself
@@ -203,13 +222,12 @@ def eos_w(model: KineticModel, X):
     """
     F = eval_F(model, X)
     t1 = 2.0 * X * eval_F_X(model, X)
-    den = t1 - F
-    _check_denominator(den, np.maximum(np.abs(t1), np.abs(F)),
-                       "equation-of-state denominator 2*X*F_X - F is degenerate")
-    return F / den
+    return _checked(*guarded_div(F, t1 - F, np.maximum(np.abs(t1), np.abs(F))),
+                    masked, DegenerateDenominator(
+                        "equation-of-state denominator 2*X*F_X - F is degenerate"))
 
 
-def sound_speed(model: KineticModel, X):
+def sound_speed(model: KineticModel, X, *, masked: bool = False):
     """Perturbation sound speed cs2 = F_X / (F_X + 2 X F_XX).
 
     For the quadratic F this equals (X - X0)/(3 X - X0), so it vanishes at
@@ -217,28 +235,28 @@ def sound_speed(model: KineticModel, X):
     """
     F_X = eval_F_X(model, X)
     t2 = 2.0 * X * eval_F_XX(model, X)
-    den = F_X + t2
-    _check_denominator(den, np.maximum(np.abs(F_X), np.abs(t2)),
-                       "sound-speed denominator F_X + 2*X*F_XX is degenerate")
-    return F_X / den
+    return _checked(*guarded_div(F_X, F_X + t2, np.maximum(np.abs(F_X), np.abs(t2))),
+                    masked, DegenerateDenominator(
+                        "sound-speed denominator F_X + 2*X*F_XX is degenerate"))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms at the perturbed kinetic state X = X0 + eps0
 # ---------------------------------------------------------------------------
 
-def sound_speed_perturbed(model: KineticModel):
+def sound_speed_perturbed(model: KineticModel, *, masked: bool = False):
     """cs2 at X = X0 + eps0 in closed form: 1 / (3 + 2 X0/eps0).
 
     Algebraically identical to sound_speed(model, X0 + eps0); requires
-    eps0 > 0.
+    eps0 > 0 (ValueError otherwise). masked=True returns (cs2, pole) with
+    NaN where eps0 = 0 instead.
     """
-    if not np.all(model.eps0 > 0):
-        raise ValueError("sound_speed_perturbed requires eps0 > 0")
-    return 1.0 / (3.0 + 2.0 * model.X0 / model.eps0)
+    ratio, pole = guarded_div(2.0 * model.X0, model.eps0, 0.0)
+    return _checked(1.0 / (3.0 + ratio), pole, masked,
+                    ValueError("sound_speed_perturbed requires eps0 > 0"))
 
 
-def w_perturbed_exact(model: KineticModel):
+def w_perturbed_exact(model: KineticModel, *, masked: bool = False):
     """w at X = X0 + eps0 in closed form.
 
     Evaluates -1 / (1 - 4 (X0+eps0) eps0 F2 / F(X0+eps0)) with the
@@ -249,17 +267,15 @@ def w_perturbed_exact(model: KineticModel):
     e = model.eps0
     F = model.F0 + model.F2 * e * e
     t = 4.0 * (model.X0 + e) * model.F2 * e
-    den = F - t
-    _check_denominator(den, np.maximum(np.abs(F), np.abs(t)),
-                       "perturbed-w denominator is degenerate")
-    return -F / den
+    return _checked(*guarded_div(-F, F - t, np.maximum(np.abs(F), np.abs(t))),
+                    masked, DegenerateDenominator("perturbed-w denominator is degenerate"))
 
 
 # ---------------------------------------------------------------------------
 # Thin-wall limit approximations (kept distinct from the exact forms)
 # ---------------------------------------------------------------------------
 
-def w_thinwall_approx(X0, eps0, F2):
+def w_thinwall_approx(X0, eps0, F2, *, masked: bool = False):
     """Simplified steep-wall estimate w = -1 / (1 - 4 X0 eps0 / F2).
 
     Drops the F0 contribution retained by `w_perturbed_exact`; the two
@@ -268,24 +284,27 @@ def w_thinwall_approx(X0, eps0, F2):
     the regime table can show both.
     """
     t = 4.0 * X0 * eps0 / F2
-    den = 1.0 - t
-    _check_denominator(den, np.maximum(1.0, np.abs(t)),
-                       "thin-wall w denominator 1 - 4*X0*eps0/F2 is degenerate")
-    return -1.0 / den
+    return _checked(*guarded_div(-1.0, 1.0 - t, np.maximum(1.0, np.abs(t))),
+                    masked, DegenerateDenominator(
+                        "thin-wall w denominator 1 - 4*X0*eps0/F2 is degenerate"))
 
 
-def cs2_thinwall_approx(X0, eps0):
+def cs2_thinwall_approx(X0, eps0, *, masked: bool = False):
     """Simplified wall-limit sound speed 1 / (1 + 4 X0 (1 + X0/(2 eps0))).
 
     Strictly decreasing in X0: -> 1 as X0 -> 0+ (thick wall), -> 0 as
     X0 -> inf (thin wall). Not equivalent to the exact `sound_speed`.
+    Requires eps0 > 0 (ValueError otherwise); masked=True returns
+    (cs2, pole) with NaN where eps0 = 0 instead.
     """
-    if not np.all(eps0 > 0):
+    if not np.all(eps0 >= 0):
         raise ValueError("cs2_thinwall_approx requires eps0 > 0")
-    den = 1.0 + 4.0 * X0 * (1.0 + X0 / (2.0 * eps0))
-    if not np.all(den > 0):
+    ratio, pole = guarded_div(X0, 2.0 * eps0, 0.0)
+    den = 1.0 + 4.0 * X0 * (1.0 + ratio)
+    if not np.all((den > 0) | pole):
         raise ValueError("cs2_thinwall_approx denominator must be positive")
-    return 1.0 / den
+    return _checked(1.0 / den, pole, masked,
+                    ValueError("cs2_thinwall_approx requires eps0 > 0"))
 
 
 # ---------------------------------------------------------------------------
@@ -314,36 +333,42 @@ def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'first_order'")
     X = s.X0 * (1.0 + decay)
-    num = X - s.X0
-    den = 3.0 * X - s.X0
-    _check_denominator(den, np.maximum(np.abs(3.0 * X), np.abs(s.X0)),
-                       "scaling cs2 denominator 3*X - X0 is degenerate")
-    return num / den
+    return _checked(*guarded_div(X - s.X0, 3.0 * X - s.X0,
+                                 np.maximum(np.abs(3.0 * X), np.abs(s.X0))),
+                    False, DegenerateDenominator(
+                        "scaling cs2 denominator 3*X - X0 is degenerate"))
 
 
 # ---------------------------------------------------------------------------
 # Regime classification
 # ---------------------------------------------------------------------------
 
-def classify_regime(w: float, cs2: float) -> Regime:
-    """Label a (w, cs2) pair; total over all inputs (NaN -> Unclassified).
+def classify_regimes(w, cs2):
+    """Regime label strings (RegimeLabel values) for arrays of (w, cs2).
 
     CosmologicalConstant: |w + 1| <= 0.05 and cs2 <= 0.01
     DarkMatterLike:       |w|     <= 0.05 and cs2 <= 0.01
     RadiationLike:        |w - 1/3| <= 0.05
     DarkEnergyMix:        -0.95 < w < -0.05
-    otherwise Unclassified.
+    otherwise Unclassified (NaN included).
     """
+    w = np.asarray(w, dtype=float)
+    dust = np.asarray(cs2, dtype=float) <= CS2_DUST_MAX
+    return np.select(
+        [(np.abs(w + 1.0) <= W_BAND) & dust,
+         (np.abs(w) <= W_BAND) & dust,
+         np.abs(w - 1.0 / 3.0) <= W_BAND,
+         (-1.0 + W_BAND < w) & (w < -W_BAND)],
+        [RegimeLabel.COSMOLOGICAL_CONSTANT.value,
+         RegimeLabel.DARK_MATTER_LIKE.value,
+         RegimeLabel.RADIATION_LIKE.value,
+         RegimeLabel.DARK_ENERGY_MIX.value],
+        RegimeLabel.UNCLASSIFIED.value)
+
+
+def classify_regime(w: float, cs2: float) -> Regime:
+    """Label one (w, cs2) pair with `classify_regimes`; total over all
+    inputs (NaN -> Unclassified)."""
     w = float(w)
     cs2 = float(cs2)
-    if abs(w + 1.0) <= W_BAND and cs2 <= CS2_DUST_MAX:
-        label = RegimeLabel.COSMOLOGICAL_CONSTANT
-    elif abs(w) <= W_BAND and cs2 <= CS2_DUST_MAX:
-        label = RegimeLabel.DARK_MATTER_LIKE
-    elif abs(w - 1.0 / 3.0) <= W_BAND:
-        label = RegimeLabel.RADIATION_LIKE
-    elif -1.0 + W_BAND < w < -W_BAND:
-        label = RegimeLabel.DARK_ENERGY_MIX
-    else:
-        label = RegimeLabel.UNCLASSIFIED
-    return Regime(label=label, w=w, cs2=cs2)
+    return Regime(label=RegimeLabel(classify_regimes(w, cs2).item()), w=w, cs2=cs2)

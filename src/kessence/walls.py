@@ -113,15 +113,14 @@ def default_grid(profile: WallProfile) -> tuple[float, float, float]:
     return -2.0 * profile.L, 2.0 * profile.L, spacing
 
 
-def sharpness(profile: WallProfile, x_min: float | None = None,
-              x_max: float | None = None,
-              spacing: float | None = None) -> SharpnessReport:
-    """Delta-sequence metrics of the kinetic spikes.
+def sample_grid(profile: WallProfile, x_min: float | None = None,
+                x_max: float | None = None,
+                spacing: float | None = None) -> ProfileSample:
+    """Sample on [x_min, x_max] at `spacing` or just under it.
 
-    Returns the peak  value of X_mag, the two peak locations, the full
-    width at half maximum of the positive-x peak (linear interpolation of
-    the half-level crossings), and the trapezoidal integral of X_mag over
-    the grid. The grid must resolve the wall: spacing <= 1/(10 b).
+    The grid takes ceil((x_max - x_min) / spacing) equal intervals, so both
+    ends are sample points; omitted arguments come from `default_grid`.
+    The grid must resolve the wall: spacing <= 1/(10 b).
     """
     d_min, d_max, d_spacing = default_grid(profile)
     if x_min is None:
@@ -136,8 +135,24 @@ def sharpness(profile: WallProfile, x_min: float | None = None,
         raise GridTooCoarse(
             f"spacing={spacing} exceeds 1/(10 b)={1.0 / (10.0 * profile.b)}")
     n = int(math.ceil((x_max - x_min) / spacing)) + 1
-    s = sample(profile, x_min, x_max, n)
+    return sample(profile, x_min, x_max, n)
 
+
+def sharpness(profile: WallProfile, x_min: float | None = None,
+              x_max: float | None = None,
+              spacing: float | None = None) -> SharpnessReport:
+    """`sample_sharpness` of the `sample_grid` sample with these arguments."""
+    return sample_sharpness(sample_grid(profile, x_min, x_max, spacing))
+
+
+def sample_sharpness(s: ProfileSample) -> SharpnessReport:
+    """Delta-sequence metrics of the kinetic spikes in a profile sample.
+
+    Returns the peak  value of X_mag, the two peak locations, the full
+    width at half maximum of the positive-x peak (linear interpolation of
+    the half-level crossings), and the trapezoidal integral of X_mag over
+    the grid. The grid must straddle x = 0.
+    """
     pos = s.x > 0
     if not pos.any() or pos.all():
         raise InvalidGrid("sharpness grid must straddle x = 0 (walls sit at +-L/2)")

@@ -10,19 +10,24 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from kessence.cli import _fmt, main
+from kessence.errors import DegenerateDenominator
 from kessence.model import (
     KineticModel,
     classify_regime,
+    cs2_thinwall_approx,
     eos_w,
     eval_F,
     eval_F_X,
     sound_speed,
     sound_speed_perturbed,
     w_perturbed_exact,
+    w_thinwall_approx,
 )
+from kessence.walls import WallProfile
 
 EOS_HEADER = ("X,F,F_X,w_exact,cs2_exact,w_perturbed_eq14,"
               "cs2_perturbed_eq11,regime,note")
@@ -113,36 +118,129 @@ def test_eos_scan_pole_and_below_extremum_rows(tmp_path):
         assert "X < X0" in c[8]
 
 
-def test_eos_scan_spot_check_against_library(tmp_path, rng):
+def _guarded(fn, *args):
+    """fn(*args) as a float, or NaN when its pole guard fires."""
+    try:
+        return float(fn(*args)), False
+    except DegenerateDenominator:
+        return math.nan, True
+
+
+def _eos_row(m, X):
+    """One eos-scan row from scalar library calls."""
+    w_e, w_pole = _guarded(eos_w, m, X)
+    cs2_e, cs2_pole = _guarded(sound_speed, m, X)
+    notes = []
+    if w_pole:
+        notes.append("w_exact guard: 2*X*F_X - F ~ 0")
+    if cs2_pole:
+        notes.append("cs2_exact guard: pole at X = X0/3")
+    eps = X - m.X0
+    if eps > 0.0:
+        pm = KineticModel(F2=m.F2, X0=m.X0, eps0=eps, F0=m.F0)
+        w_p, w_p_pole = _guarded(w_perturbed_exact, pm)
+        if w_p_pole:
+            notes.append("w_perturbed_eq14 guard: denominator ~ 0")
+        cs2_p = float(sound_speed_perturbed(pm))
+    elif eps == 0.0:
+        w_p = float(w_perturbed_exact(
+            KineticModel(F2=m.F2, X0=m.X0, eps0=0.0, F0=m.F0)))
+        cs2_p = math.nan
+        notes.append("X = X0: perturbed cs2 undefined at eps0 = 0")
+    else:
+        w_p = cs2_p = math.nan
+        notes.append("X < X0: perturbed closed forms need X >= X0")
+    cells = [_fmt(v) for v in (X, eval_F(m, X), eval_F_X(m, X), w_e, cs2_e,
+                               w_p, cs2_p)]
+    return ",".join(cells + [classify_regime(w_e, cs2_e).label.value,
+                             "; ".join(notes)])
+
+
+def _regimes_row(b, L, X0, eps0, F2, F0):
+    """One regimes row (as cells) from scalar library calls."""
+    m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=F0)
+    w_e, _ = _guarded(w_perturbed_exact, m)
+    w_p, _ = _guarded(w_thinwall_approx, X0, eps0, F2)
+    cs2_e = float(sound_speed_perturbed(m)) if eps0 > 0 else math.nan
+    cs2_p = float(cs2_thinwall_approx(X0, eps0)) if eps0 > 0 else math.nan
+    return [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p,
+            classify_regime(w_p, cs2_p).label.value]
+
+
+def test_eos_scan_spot_check_against_library(tmp_path):
+    # X0 = 3 puts the cs2 pole X0/3 = 1 and X = X0 on the grid, with rows
+    # below X0; F0 = 63 makes both w denominators vanish at X = 6.
     doc = dict(BASE_DOC)
-    doc["scan"] = {"X": {"min": 800.0, "max": 2000.0, "count": 301}}
+    doc["model"] = {"F2": 1.0, "X0": 3.0, "F0": 63.0}
+    doc["scan"] = {"X": {"min": 0.0, "max": 8.0, "count": 17}}
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
     assert _run(["eos-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 0
 
     rows = _rows(out / "run_eos_scan.csv")[1:]
-    assert len(rows) == 301
-    m = KineticModel(F2=1000.0, X0=1000.0, eps0=0.01, F0=-1.0)
-    picks = rng.choice(len(rows), size=100, replace=False)
-    for i in picks:
-        cells = rows[i].split(",")
-        X = float(cells[0])
-        assert cells[1] == _fmt(eval_F(m, X))
-        assert cells[2] == _fmt(eval_F_X(m, X))
-        w_e = float(eos_w(m, X))
-        assert cells[3] == _fmt(w_e)
-        cs2_e = float(sound_speed(m, X))
-        assert cells[4] == _fmt(cs2_e)
-        eps = X - m.X0
-        if eps > 0.0:
-            pm = KineticModel(F2=m.F2, X0=m.X0, eps0=eps, F0=m.F0)
-            assert cells[5] == _fmt(w_perturbed_exact(pm))
-            assert cells[6] == _fmt(sound_speed_perturbed(pm))
-        elif eps == 0.0:
-            assert cells[5] == "-1.0" and cells[6] == "NAN"
-        else:
-            assert cells[5] == "NAN" and cells[6] == "NAN"
-        assert cells[7] == classify_regime(w_e, cs2_e).label.value
+    m = KineticModel(F2=1.0, X0=3.0, F0=63.0)
+    assert rows == [_eos_row(m, X) for X in np.linspace(0.0, 8.0, 17)]
+    assert "pole at X = X0/3" in rows[2]
+    assert "w_exact guard" in rows[12] and "w_perturbed_eq14 guard" in rows[12]
+    summary = _rows(out / "run_eos_scan_summary.txt")
+    assert "rows with notes: 8" in summary
+
+
+def test_regimes_rows_against_library(tmp_path):
+    # Both blocks start at eps0 = 0; with F0 = 7 the exact w has its pole
+    # at X0 = eps0 = F2 = 1 and the thin-wall w at X0 = eps0 = 1, F2 = 4.
+    doc = dict(BASE_DOC)
+    doc["model"] = {"F2": 1.0, "X0": 1.0, "F0": 7.0}
+    doc["scan"] = {"b": {"min": 1.0, "max": 2.0, "count": 2},
+                   "L": {"min": 1.5, "max": 3.0, "count": 2},
+                   "X0": {"min": 1.0, "max": 2.0, "count": 2},
+                   "eps0": {"min": 0.0, "max": 1.0, "count": 3},
+                   "F2": {"min": 1.0, "max": 4.0, "count": 2}}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["regimes", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+    blocks = [(b, L, float(WallProfile(b=b, L=L).kinetic_magnitude(L / 2.0)))
+              for b in (1.0, 2.0) for L in (1.5, 3.0)]
+    blocks += [(math.nan, math.nan, X0) for X0 in (1.0, 2.0)]
+    expect = [_regimes_row(b, L, X0, eps0, F2, 7.0) for b, L, X0 in blocks
+              for eps0 in (0.0, 0.5, 1.0) for F2 in (1.0, 4.0)]
+    rows = _rows(out / "run_regimes.csv")[1:]
+    assert rows == [",".join(_fmt(c) if isinstance(c, float) else c
+                             for c in r) for r in expect]
+    assert sum(r.endswith(",-1.0,-1.0,NAN,NAN,Unclassified") for r in rows) == 12
+    # w_exact at F2 = 1 and w_paper at F2 = 4 sit on their poles
+    poles = [r.split(",")[5:7] for r in rows if r.startswith("NAN,NAN,1.0,1.0,")]
+    assert poles[0][0] == "NAN" and poles[1][1] == "NAN"
+
+    # The report names the first row with the largest gap, as a strict >
+    # scan does: cs2 gaps repeat across F2, so ties are the rule there.
+    report = _rows(out / "run_discrepancy.txt")
+    for name, e, p in (("w", 5, 6), ("cs2", 7, 8)):
+        best = best_row = None
+        for r in expect:
+            if math.isnan(r[e]) or math.isnan(r[p]):
+                continue
+            if best is None or abs(r[e] - r[p]) > best:
+                best, best_row = abs(r[e] - r[p]), r
+        i = report.index(f"max |{name}_exact - {name}_paper| = {_fmt(best)}")
+        assert report[i + 1] == "  at " + " ".join(
+            f"{k}={_fmt(v)}" for k, v in zip(("b", "L", "X0", "eps0", "F2"),
+                                             best_row))
+
+
+def test_regimes_rejects_nonpositive_F2(tmp_path):
+    # the thin-wall w divides by F2, so a scan through F2 = 0 is a config error
+    for lo in (0.0, -5.0):
+        doc = dict(BASE_DOC)
+        doc["scan"] = {"X0": {"min": 1.0, "max": 1.0, "count": 1},
+                       "eps0": {"min": 0.1, "max": 0.1, "count": 1},
+                       "F2": {"min": lo, "max": 10.0, "count": 2}}
+        cfg = _write(tmp_path, doc)
+        out = tmp_path / "o"
+        assert _run(["regimes", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        assert not out.exists() or not os.listdir(out)
 
 
 def test_eos_scan_needs_scan_range(tmp_path):

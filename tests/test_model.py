@@ -23,12 +23,14 @@ from kessence.model import (
     ScalingSolution,
     W_BAND,
     classify_regime,
+    classify_regimes,
     cs2_thinwall_approx,
     density,
     eos_w,
     eval_F,
     eval_F_X,
     eval_F_XX,
+    guarded_div,
     pressure,
     scaling_cs2_of_a,
     scaling_X_of_a,
@@ -321,6 +323,60 @@ def test_classify_stable_away_from_boundaries(rng):
                 assert classify_regime(w + dw, cs2 + dc).label is base
         checked += 1
     assert checked > 2500
+
+
+def test_classify_array_form_matches_scalar(rng):
+    w = np.concatenate([rng.uniform(-1.2, 0.5, 2000),
+                        [-1.05, -0.95, -0.05, 0.05, math.nan, math.inf]])
+    cs2 = np.concatenate([rng.uniform(0.0, 0.02, 2000),
+                          [0.01, 0.01, 0.0, 0.01, 0.0, 0.0]])
+    labels = classify_regimes(w, cs2)
+    assert labels.shape == w.shape
+    assert labels.tolist() == [classify_regime(a, b).label.value
+                               for a, b in zip(w, cs2)]
+
+
+# ---------------------------------------------------------------------------
+# Pole guard
+# ---------------------------------------------------------------------------
+
+def test_guarded_div_scalar_and_array():
+    assert guarded_div(1.0, 4.0, 1.0) == (0.25, False)
+    q, pole = guarded_div(1.0, 1e-13, 1.0)
+    assert math.isnan(q) and pole
+    q, pole = guarded_div(np.array([1.0, 2.0, 3.0]),
+                          np.array([2.0, 0.0, 1e-13]), np.array([1.0, 1.0, 1e-2]))
+    assert q[0] == 0.5 and np.isnan(q[1]) and q[2] == 3.0 / 1e-13
+    assert pole.tolist() == [False, True, False]
+    # a NaN denominator is not a pole: the NaN passes through
+    q, pole = guarded_div(1.0, math.nan, 1.0)
+    assert math.isnan(q) and not pole
+
+
+def test_masked_closed_forms_match_raising_forms():
+    m = KineticModel(F2=1.0, X0=3.0, F0=63.0)
+    X = np.linspace(0.0, 8.0, 17)  # poles: cs2 at X = 1, w at X = 6
+    for fn in (eos_w, sound_speed):
+        values, pole = fn(m, X, masked=True)
+        assert pole.tolist() == [bool(p) for p in
+                                 (X == (1.0 if fn is sound_speed else 6.0))]
+        for x, v, p in zip(X, values, pole):
+            if p:
+                assert math.isnan(v)
+                with pytest.raises(DegenerateDenominator):
+                    fn(m, x)
+            else:
+                assert v == fn(m, x)
+    pm = KineticModel(F2=1.0, X0=1.0, eps0=np.array([0.0, 0.5, 1.0]), F0=7.0)
+    w, pole = w_perturbed_exact(pm, masked=True)
+    assert w[0] == -1.0 and np.isnan(w[2]) and pole.tolist() == [False, False, True]
+    cs2, pole = sound_speed_perturbed(pm, masked=True)
+    assert np.isnan(cs2[0]) and pole.tolist() == [True, False, False]
+    assert cs2[1] == sound_speed_perturbed(KineticModel(F2=1.0, X0=1.0, eps0=0.5))
+    cs2, pole = cs2_thinwall_approx(1.0, pm.eps0, masked=True)
+    assert np.isnan(cs2[0]) and cs2[2] == cs2_thinwall_approx(1.0, 1.0)
+    w, pole = w_thinwall_approx(1.0, pm.eps0, 2.0, masked=True)
+    assert pole.tolist() == [False, True, False] and np.isnan(w[1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from kessence.walls import (
     check_derivative,
     default_grid,
     sample,
+    sample_grid,
+    sample_sharpness,
     sharpness,
 )
 
@@ -151,6 +153,15 @@ def test_sharpness_grid_guards():
         sharpness(p, x_min=1.0, x_max=5.0)
     with pytest.raises(InvalidGrid):
         sharpness(p, x_min=3.0, x_max=-3.0)
+
+
+def test_sharpness_of_a_written_sample():
+    p = WallProfile(b=10.0, L=3.0)
+    s = sample_grid(p)
+    assert s.x.size == 400 * 3 + 1  # [-2L, 2L] at spacing 1/(10 b)
+    assert sample_sharpness(s) == sharpness(p)
+    with pytest.raises(InvalidGrid):
+        sample_sharpness(sample(p, 0.5, 2.0, 100))
 
 
 @settings(max_examples=40)
