@@ -31,11 +31,9 @@ from .config import (
 )
 from .errors import ConfigError, FitDomain, KessenceError
 from .evolution import (
-    StepControl,
     evolve_full,
     evolve_kinetic_only,
     fit_scaling,
-    initial_state,
     scaling_slope,
 )
 from .model import (
@@ -125,7 +123,7 @@ def _notes(n_rows: int, rules) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def run_eos_scan(config: RunConfig, out_dir: str, quiet: bool = False):
-    scan = config.scan_ranges()
+    scan = config.scan or {}
     if "X" not in scan:
         raise ConfigError("eos-scan needs a scan.X range {min, max, count}")
     X = _scan_values(scan, "X")
@@ -177,7 +175,7 @@ def run_eos_scan(config: RunConfig, out_dir: str, quiet: bool = False):
 def run_wall(config: RunConfig, out_dir: str, quiet: bool = False):
     if config.wall is None:
         raise ConfigError("wall command needs a wall block {b, L}")
-    scan = config.scan_ranges()
+    scan = config.scan or {}
     b_vals = _scan_values(scan, "b").tolist() if "b" in scan else [config.wall.b]
     L_vals = _scan_values(scan, "L").tolist() if "L" in scan else [config.wall.L]
 
@@ -215,17 +213,13 @@ def run_evolve(config: RunConfig, out_dir: str, quiet: bool = False):
     ev = config.evolve
     if ev is None:
         raise ConfigError("evolve command needs an evolve block")
-    init = initial_state(phi=ev.phi, phidot=ev.phidot, X=ev.X,
-                         t=ev.t_start, a=ev.a_start)
-    control = StepControl(rel_tol=ev.rel_tol, abs_tol=ev.abs_tol,
-                          n_output=ev.n_output)
     if ev.kinetic_only:
-        tr = evolve_kinetic_only(config.model, config.background, init,
-                                 ev.t_end, control)
+        tr = evolve_kinetic_only(config.model, config.background, ev.init,
+                                 ev.t_end, ev.control)
         mode = "kinetic_only"
     else:
         tr = evolve_full(config.model, config.potential, config.background,
-                         init, ev.t_end, control)
+                         ev.init, ev.t_end, ev.control)
         mode = "full"
 
     stem = config.output.stem
@@ -263,7 +257,7 @@ def run_evolve(config: RunConfig, out_dir: str, quiet: bool = False):
     else:
         drift = float(np.max(np.abs(tr.Q)))
         summary.append(f"max absolute Q drift = {_fmt(drift)} (Q(0) = 0)")
-    bound = 100.0 * ev.rel_tol
+    bound = 100.0 * ev.control.rel_tol
     summary.append(f"drift bound (100 * rel_tol) = {_fmt(bound)}")
     if mode == "full" and config.potential.curvature(0.0) != 0.0:
         summary.append(
@@ -281,7 +275,7 @@ def run_evolve(config: RunConfig, out_dir: str, quiet: bool = False):
 # ---------------------------------------------------------------------------
 
 def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
-    scan = config.scan_ranges()
+    scan = config.scan or {}
     for key in ("eps0", "F2"):
         if key not in scan:
             raise ConfigError(f"regimes needs a scan.{key} range")
@@ -289,9 +283,6 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
         raise ConfigError("regimes needs scan.b or scan.X0")
     eps_vals = _scan_values(scan, "eps0")
     F2_vals = _scan_values(scan, "F2")
-    if not np.all(F2_vals > 0.0):
-        raise ConfigError("scan.F2 values must be > 0 (the thin-wall w "
-                          "divides by F2)")
 
     # One (b, L, X0) block per wall or direct X0 value; b and L are NAN
     # for direct X0 scans.
@@ -310,6 +301,10 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
                 # at a time: numpy's vectorised exp may differ from the
                 # scalar one in the last bit.
                 X_est = float(WallProfile(b=b, L=L).kinetic_magnitude(L / 2.0))
+                if X_est == 0.0:
+                    raise ConfigError(
+                        f"the wall b={b!r}, L={L!r} is too thin: its kinetic "
+                        "scale X_estimate underflows to 0")
                 blocks.append((b, L, X_est))
     if "X0" in scan:
         blocks.extend((math.nan, math.nan, X0)
@@ -319,10 +314,7 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
     k, eps0, F2 = (g.ravel() for g in np.meshgrid(
         np.arange(len(blocks)), eps_vals, F2_vals, indexing="ij"))
     b, L, X0 = np.array(blocks)[k].T
-    try:
-        m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=config.model.F0)
-    except ValueError as exc:
-        raise ConfigError(f"scan produced an invalid model: {exc}") from None
+    m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=config.model.F0)
     with np.errstate(all="ignore"):
         w_e, _ = w_perturbed_exact(m, masked=True)
         cs2_e, _ = sound_speed_perturbed(m, masked=True)
@@ -352,7 +344,7 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
         report.append(
             f"  at b={_fmt(b[i])} L={_fmt(L[i])} X0={_fmt(X0[i])} "
             f"eps0={_fmt(eps0[i])} F2={_fmt(F2[i])}")
-        exact_label = classify_regime(w_e[i], cs2_e[i]).label.value
+        exact_label = classify_regime(w_e[i], cs2_e[i]).value
         report.append(
             f"  exact columns classify as {exact_label}; "
             f"approx columns as {label[i]}")

@@ -1,19 +1,34 @@
 """Run configuration: strict JSON parsing, serialization, presets.
 
 The file format is plain JSON with a fixed schema.  Parsing is strict:
-unknown keys raise ConfigError, as do missing required keys and values
-of the wrong type.  serialize() emits keys in a fixed order so that
-parse(serialize(c)) == c and repeated serializations are byte-identical.
+unknown keys raise ConfigError, as do missing required keys, values of
+the wrong type, non-finite numbers and out-of-domain values.  Parsing
+builds the domain objects the commands run (KineticModel, WallProfile,
+FieldState, StepControl, ...), so every domain check happens here, once,
+and a parsed RunConfig holds only values that passed it.
+serialize() emits keys in a fixed order so that parse(serialize(c)) == c
+and repeated serializations are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .evolution import BackgroundSpec, DeSitter, PowerLaw
+from .evolution import (
+    BackgroundSpec,
+    DeSitter,
+    FieldState,
+    PowerLaw,
+    StepControl,
+    _check_window,
+    initial_state,
+)
 from .model import ConstantPotential, KineticModel, PotentialSpec, QuadraticPotential
 from .walls import WallProfile
 
@@ -45,28 +60,29 @@ class ScanRange:
             raise ValueError(f"min={self.min} exceeds max={self.max}")
 
 
+# Scan names the commands read, with the domain of their values.  A range
+# is finite with min <= max, so a range whose min is in the domain lies in
+# it whole.
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_SCAN_DOMAINS = {
+    "X": (lambda v: True, "finite"),
+    "eps0": (lambda v: v >= 0.0, ">= 0"),
+    "b": _POSITIVE,
+    "L": _POSITIVE,
+    "X0": _POSITIVE,
+    "F2": _POSITIVE,
+}
+
+
 @dataclass(frozen=True)
 class EvolveSpec:
-    """Initial data and step control for the evolve command.
-
-    Exactly one of `X` / `phidot` must be set; with X the positive
-    velocity branch is taken.
-    """
+    """What the evolve command integrates: from `init` to `t_end` under
+    `control`, the kinetic-only (constant-V) or the full field equation."""
 
     t_end: float
-    phi: float = 0.0
-    X: Optional[float] = None
-    phidot: Optional[float] = None
-    t_start: float = 0.0
-    a_start: float = 1.0
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    n_output: int = 201
+    init: FieldState
+    control: StepControl = StepControl()
     kinetic_only: bool = True
-
-    def __post_init__(self):
-        if (self.X is None) == (self.phidot is None):
-            raise ValueError("give exactly one of X / phidot")
 
 
 @dataclass(frozen=True)
@@ -85,9 +101,6 @@ class RunConfig:
     scan: Optional[dict] = None
     evolve: Optional[EvolveSpec] = None
 
-    def scan_ranges(self) -> dict:
-        return dict(self.scan) if self.scan else {}
-
 
 def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
     if not isinstance(obj, dict):
@@ -100,10 +113,22 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
+@contextmanager
+def _invalid(where: str):
+    """Report a domain constructor's ValueError as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from None
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+    # NaN fails the comparison; an int too large for a float compares exactly.
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
     return float(v)
 
 
@@ -130,63 +155,42 @@ def _boolean(obj: dict, key: str, where: str) -> bool:
 
 def _parse_model(obj) -> KineticModel:
     _require_keys(obj, "model", ("F2", "X0"), ("eps0", "F0"))
-    kwargs = {"F2": _number(obj, "F2", "model"), "X0": _number(obj, "X0", "model")}
-    if "eps0" in obj:
-        kwargs["eps0"] = _number(obj, "eps0", "model")
-    if "F0" in obj:
-        kwargs["F0"] = _number(obj, "F0", "model")
-    try:
-        return KineticModel(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid model: {exc}") from None
+    with _invalid("model"):
+        return KineticModel(**{key: _number(obj, key, "model") for key in obj})
 
 
 def _parse_potential(obj) -> PotentialSpec:
     _require_keys(obj, "potential", ("kind",),
                   ("V0", "m2"))
     kind = _string(obj, "kind", "potential")
-    if kind == "constant":
-        _require_keys(obj, "potential", ("kind", "V0"))
-        try:
+    with _invalid("potential"):
+        if kind == "constant":
+            _require_keys(obj, "potential", ("kind", "V0"))
             return ConstantPotential(V0=_number(obj, "V0", "potential"))
-        except ValueError as exc:
-            raise ConfigError(f"invalid potential: {exc}") from None
-    if kind == "quadratic":
-        _require_keys(obj, "potential", ("kind", "m2"))
-        try:
+        if kind == "quadratic":
+            _require_keys(obj, "potential", ("kind", "m2"))
             return QuadraticPotential(m2=_number(obj, "m2", "potential"))
-        except ValueError as exc:
-            raise ConfigError(f"invalid potential: {exc}") from None
     raise ConfigError(f"potential.kind must be 'constant' or 'quadratic', got {kind!r}")
 
 
 def _parse_background(obj) -> BackgroundSpec:
     _require_keys(obj, "background", ("kind",), ("H", "p", "t0"))
     kind = _string(obj, "kind", "background")
-    if kind == "desitter":
-        _require_keys(obj, "background", ("kind", "H"))
-        try:
+    with _invalid("background"):
+        if kind == "desitter":
+            _require_keys(obj, "background", ("kind", "H"))
             return DeSitter(H=_number(obj, "H", "background"))
-        except ValueError as exc:
-            raise ConfigError(f"invalid background: {exc}") from None
-    if kind == "powerlaw":
-        _require_keys(obj, "background", ("kind", "p"), ("t0",))
-        kwargs = {"p": _number(obj, "p", "background")}
-        if "t0" in obj:
-            kwargs["t0"] = _number(obj, "t0", "background")
-        try:
-            return PowerLaw(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid background: {exc}") from None
+        if kind == "powerlaw":
+            _require_keys(obj, "background", ("kind", "p"), ("t0",))
+            return PowerLaw(**{key: _number(obj, key, "background")
+                               for key in ("p", "t0") if key in obj})
     raise ConfigError(f"background.kind must be 'desitter' or 'powerlaw', got {kind!r}")
 
 
 def _parse_wall(obj) -> WallProfile:
     _require_keys(obj, "wall", ("b", "L"))
-    try:
+    with _invalid("wall"):
         return WallProfile(b=_number(obj, "b", "wall"), L=_number(obj, "L", "wall"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid wall: {exc}") from None
 
 
 def _parse_scan(obj) -> dict:
@@ -195,32 +199,43 @@ def _parse_scan(obj) -> dict:
     out = {}
     for name, entry in obj.items():
         where = f"scan.{name}"
+        if name not in _SCAN_DOMAINS:
+            raise ConfigError(f"unknown scan name {name!r}; known names: "
+                              f"{', '.join(_SCAN_DOMAINS)}")
         _require_keys(entry, where, ("min", "max", "count"))
-        try:
-            out[name] = ScanRange(min=_number(entry, "min", where),
-                                  max=_number(entry, "max", where),
-                                  count=_integer(entry, "count", where))
-        except ValueError as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from None
+        with _invalid(where):
+            r = ScanRange(min=_number(entry, "min", where),
+                          max=_number(entry, "max", where),
+                          count=_integer(entry, "count", where))
+        in_domain, rule = _SCAN_DOMAINS[name]
+        if not in_domain(r.min):
+            raise ConfigError(f"invalid {where}: values must be {rule}, "
+                              f"got min={r.min}")
+        out[name] = r
     return out
 
 
-def _parse_evolve(obj) -> EvolveSpec:
+def _parse_evolve(obj, background: BackgroundSpec) -> EvolveSpec:
     _require_keys(obj, "evolve", ("t_end",),
                   ("phi", "X", "phidot", "t_start", "a_start",
                    "rel_tol", "abs_tol", "n_output", "kinetic_only"))
-    kwargs = {"t_end": _number(obj, "t_end", "evolve")}
-    for key in ("phi", "X", "phidot", "t_start", "a_start", "rel_tol", "abs_tol"):
-        if key in obj:
-            kwargs[key] = _number(obj, key, "evolve")
+    t_end = _number(obj, "t_end", "evolve")
+    state = {arg: _number(obj, key, "evolve")
+             for key, arg in (("phi", "phi"), ("X", "X"), ("phidot", "phidot"),
+                              ("t_start", "t"), ("a_start", "a"))
+             if key in obj}
+    control = {key: _number(obj, key, "evolve")
+               for key in ("rel_tol", "abs_tol") if key in obj}
     if "n_output" in obj:
-        kwargs["n_output"] = _integer(obj, "n_output", "evolve")
-    if "kinetic_only" in obj:
-        kwargs["kinetic_only"] = _boolean(obj, "kinetic_only", "evolve")
-    try:
-        return EvolveSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid evolve block: {exc}") from None
+        control["n_output"] = _integer(obj, "n_output", "evolve")
+    kinetic_only = (_boolean(obj, "kinetic_only", "evolve")
+                    if "kinetic_only" in obj else True)
+    with _invalid("evolve"):
+        init = initial_state(**state)
+        _check_window(background, init, t_end)
+        return EvolveSpec(t_end=t_end, init=init,
+                          control=StepControl(**control),
+                          kinetic_only=kinetic_only)
 
 
 def _parse_output(obj) -> OutputSpec:
@@ -229,7 +244,12 @@ def _parse_output(obj) -> OutputSpec:
     if "directory" in obj:
         kwargs["directory"] = _string(obj, "directory", "output")
     if "stem" in obj:
-        kwargs["stem"] = _string(obj, "stem", "output")
+        stem = kwargs["stem"] = _string(obj, "stem", "output")
+        # Output names are <stem>_<suffix> inside the output directory.
+        if (stem in ("", ".", "..") or os.sep in stem
+                or (os.altsep and os.altsep in stem)):
+            raise ConfigError(
+                f"output.stem must be a bare file name, got {stem!r}")
     return OutputSpec(**kwargs)
 
 
@@ -241,13 +261,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require_keys(root, "config", ("model", "potential", "background"),
                   ("wall", "scan", "evolve", "output"))
+    background = _parse_background(root["background"])
     return RunConfig(
         model=_parse_model(root["model"]),
         potential=_parse_potential(root["potential"]),
-        background=_parse_background(root["background"]),
+        background=background,
         wall=_parse_wall(root["wall"]) if "wall" in root else None,
         scan=_parse_scan(root["scan"]) if "scan" in root else None,
-        evolve=_parse_evolve(root["evolve"]) if "evolve" in root else None,
+        evolve=(_parse_evolve(root["evolve"], background)
+                if "evolve" in root else None),
         output=_parse_output(root["output"]) if "output" in root else OutputSpec(),
     )
 
@@ -278,15 +300,11 @@ def _background_dict(b: BackgroundSpec) -> dict:
 
 
 def _evolve_dict(e: EvolveSpec) -> dict:
-    out = {"t_end": e.t_end, "phi": e.phi}
-    if e.X is not None:
-        out["X"] = e.X
-    if e.phidot is not None:
-        out["phidot"] = e.phidot
-    out.update({"t_start": e.t_start, "a_start": e.a_start,
-                "rel_tol": e.rel_tol, "abs_tol": e.abs_tol,
-                "n_output": e.n_output, "kinetic_only": e.kinetic_only})
-    return out
+    # The state is written as phidot, which an X-given config parsed to.
+    return {"t_end": e.t_end, "phi": e.init.phi, "phidot": e.init.phidot,
+            "t_start": e.init.t, "a_start": e.init.a,
+            "rel_tol": e.control.rel_tol, "abs_tol": e.control.abs_tol,
+            "n_output": e.control.n_output, "kinetic_only": e.kinetic_only}
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -342,7 +360,7 @@ def preset_config(name: str) -> RunConfig:
                   "X0": ScanRange(1e3, 1e3, 1),
                   "eps0": ScanRange(1e-2, 1e-2, 1),
                   "F2": ScanRange(1e3, 1e3, 1)},
-            evolve=EvolveSpec(t_end=3.0, X=1.05e3),
+            evolve=EvolveSpec(t_end=3.0, init=initial_state(X=1.05e3)),
             output=OutputSpec(directory="out", stem="paper_point"),
         )
     raise ConfigError(

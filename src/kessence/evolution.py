@@ -14,9 +14,9 @@ through by phid gives d/dt (X F_X^2) = -6 H X F_X^2, so
 
     Q = X F_X^2 a^6
 
-is conserved exactly.  We exploit that structure twice: `invariant_Q`
-exposes Q as a diagnostic, and `evolve_kinetic_only` integrates the
-first-order equation for u = X - X0,
+is conserved exactly.  We exploit that structure twice: every
+`Trajectory` carries Q as a diagnostic column, and `evolve_kinetic_only`
+integrates the first-order equation for u = X - X0,
 
     du/dt = -6 H u (X0 + u) / (2 X0 + 3 u),
 
@@ -60,10 +60,8 @@ __all__ = [
     "initial_state",
     "evolve_full",
     "evolve_kinetic_only",
-    "invariant_Q",
     "fit_scaling",
     "scaling_slope",
-    "slow_roll_metric",
 ]
 
 # The ODE solver runs a decade tighter than the user-facing tolerance so
@@ -124,6 +122,9 @@ class FieldState:
     def __post_init__(self):
         if not self.a > 0.0:
             raise ValueError(f"scale factor must be positive, got {self.a}")
+        if not math.isfinite(self.X):
+            raise ValueError(
+                f"X = phidot^2/2 must be finite, got phidot={self.phidot}")
 
     @property
     def X(self) -> float:
@@ -207,17 +208,6 @@ class Trajectory:
         Q = X * F_X * F_X * a ** 6
         return cls(model=model, t=t, a=a, phi=phi, phidot=phidot,
                    X=X, w=w, cs2=cs2, Q=Q)
-
-
-def invariant_Q(model: KineticModel, state: FieldState) -> float:
-    """First integral of the kinetic equation: X F_X^2 a^6.
-
-    For the quadratic F this is X (2 F2 (X - X0))^2 a^6; it vanishes
-    identically at X = X0 and is conserved along any constant-V run.
-    """
-    X = state.X
-    F_X = eval_F_X(model, X)
-    return X * F_X * F_X * state.a ** 6
 
 
 def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
@@ -386,12 +376,3 @@ def scaling_slope(trajectory: Trajectory, min_growth: float = 2.0) -> float:
         raise FitDomain("slope window contains rows with X <= X0")
     slope = np.polyfit(np.log(trajectory.a[mask]), np.log(dev), 1)[0]
     return float(slope)
-
-
-def slow_roll_metric(potential: PotentialSpec, H: float, phi: float) -> float:
-    """|V''(phi)| / H^2.  Values well under 1 indicate a flat stretch of
-    potential relative to the expansion rate; the caller judges how
-    small is small."""
-    if not H > 0.0:
-        raise ValueError(f"H must be positive, got {H}")
-    return abs(potential.curvature(phi)) / (H * H)

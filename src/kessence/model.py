@@ -105,9 +105,6 @@ class ConstantPotential:
     def value(self, phi):
         return self.V0 + 0.0 * phi
 
-    def slope(self, phi):
-        return 0.0 * phi
-
     def curvature(self, phi):
         return 0.0 * phi
 
@@ -128,9 +125,6 @@ class QuadraticPotential:
 
     def value(self, phi):
         return self.m2 * phi * phi
-
-    def slope(self, phi):
-        return 2.0 * self.m2 * phi
 
     def curvature(self, phi):
         return 2.0 * self.m2 + 0.0 * phi
@@ -165,15 +159,6 @@ class RegimeLabel(str, Enum):
     DARK_ENERGY_MIX = "DarkEnergyMix"
     COSMOLOGICAL_CONSTANT = "CosmologicalConstant"
     UNCLASSIFIED = "Unclassified"
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Classification of a (w, cs2) pair under the documented thresholds."""
-
-    label: RegimeLabel
-    w: float
-    cs2: float
 
 
 # Classification thresholds (documented in the README). The label bands in w
@@ -366,9 +351,7 @@ def classify_regimes(w, cs2):
         RegimeLabel.UNCLASSIFIED.value)
 
 
-def classify_regime(w: float, cs2: float) -> Regime:
+def classify_regime(w: float, cs2: float) -> RegimeLabel:
     """Label one (w, cs2) pair with `classify_regimes`; total over all
     inputs (NaN -> Unclassified)."""
-    w = float(w)
-    cs2 = float(cs2)
-    return Regime(label=RegimeLabel(classify_regimes(w, cs2).item()), w=w, cs2=cs2)
+    return RegimeLabel(classify_regimes(float(w), float(cs2)).item())

@@ -152,7 +152,7 @@ def _eos_row(m, X):
         notes.append("X < X0: perturbed closed forms need X >= X0")
     cells = [_fmt(v) for v in (X, eval_F(m, X), eval_F_X(m, X), w_e, cs2_e,
                                w_p, cs2_p)]
-    return ",".join(cells + [classify_regime(w_e, cs2_e).label.value,
+    return ",".join(cells + [classify_regime(w_e, cs2_e).value,
                              "; ".join(notes)])
 
 
@@ -164,7 +164,7 @@ def _regimes_row(b, L, X0, eps0, F2, F0):
     cs2_e = float(sound_speed_perturbed(m)) if eps0 > 0 else math.nan
     cs2_p = float(cs2_thinwall_approx(X0, eps0)) if eps0 > 0 else math.nan
     return [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p,
-            classify_regime(w_p, cs2_p).label.value]
+            classify_regime(w_p, cs2_p).value]
 
 
 def test_eos_scan_spot_check_against_library(tmp_path):
@@ -229,18 +229,77 @@ def test_regimes_rows_against_library(tmp_path):
                                              best_row))
 
 
-def test_regimes_rejects_nonpositive_F2(tmp_path):
-    # the thin-wall w divides by F2, so a scan through F2 = 0 is a config error
-    for lo in (0.0, -5.0):
-        doc = dict(BASE_DOC)
-        doc["scan"] = {"X0": {"min": 1.0, "max": 1.0, "count": 1},
-                       "eps0": {"min": 0.1, "max": 0.1, "count": 1},
-                       "F2": {"min": lo, "max": 10.0, "count": 2}}
-        cfg = _write(tmp_path, doc)
-        out = tmp_path / "o"
-        assert _run(["regimes", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 2
-        assert not out.exists() or not os.listdir(out)
+def _bad(command, block_updates, case_id):
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc.update(block_updates)
+    return pytest.param(command, doc, id=case_id)
+
+
+_EVOLVE = {"t_end": 1.0, "X": 1050.0}
+_REGIMES_SCAN = {"eps0": {"min": 0.1, "max": 0.1, "count": 1},
+                 "F2": {"min": 10.0, "max": 10.0, "count": 1}}
+
+
+def _range(lo, hi, count):
+    return {"min": lo, "max": hi, "count": count}
+
+
+# Configs whose values lie outside the documented domain; each must stop
+# at parse time with exit 2, before anything is written.
+BAD_CONFIGS = [
+    # the thin-wall w divides by F2, so a scan through F2 = 0 is an error
+    _bad("regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
+                              "F2": _range(0.0, 10.0, 2)}}, "regimes-F2-zero"),
+    _bad("regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
+                              "F2": _range(-5.0, 10.0, 2)}},
+         "regimes-F2-negative"),
+    _bad("evolve", {"evolve": {**_EVOLVE, "rel_tol": 0.0}}, "evolve-rel_tol-0"),
+    _bad("evolve", {"evolve": {**_EVOLVE, "n_output": 1}}, "evolve-n_output-1"),
+    _bad("evolve", {"evolve": {**_EVOLVE, "t_start": 2.0}},
+         "evolve-t_end-before-t_start"),
+    _bad("evolve", {"evolve": {**_EVOLVE, "a_start": 0.0}}, "evolve-a_start-0"),
+    _bad("evolve", {"evolve": {**_EVOLVE, "X": -1.0}}, "evolve-X-negative"),
+    _bad("evolve", {"background": {"kind": "powerlaw", "p": 0.5},
+                    "evolve": {**_EVOLVE, "t_start": 0.0}},
+         "evolve-powerlaw-t_start-0"),
+    _bad("wall", {"wall": {"b": 1.0, "L": 1.0},
+                  "scan": {"b": _range(-1.0, 1.0, 3)}}, "wall-b-nonpositive"),
+    _bad("regimes", {"wall": {"b": 1.0, "L": 1.0},
+                     "scan": {**_REGIMES_SCAN, "b": _range(-1.0, 1.0, 3)}},
+         "regimes-b-nonpositive"),
+    _bad("regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1.0, 2.0, 2),
+                              "L": _range(-1.0, 1.0, 3)}},
+         "regimes-L-nonpositive"),
+    _bad("eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3),
+                               "Xx": _range(1.0, 2.0, 2)}},
+         "eos-scan-unknown-scan-name"),
+    _bad("eos-scan", {"scan": {"X": _range(math.nan, 1100.0, 3)}},
+         "eos-scan-NaN-bound"),
+    _bad("eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3)},
+                      "output": {"stem": "../x"}}, "eos-scan-stem-escapes"),
+]
+
+
+@pytest.mark.parametrize("command,doc", BAD_CONFIGS)
+def test_bad_config_exits_two(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o" / "sub"
+    assert _run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    # nothing was written, inside --out or next to it
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_regimes_rejects_wall_without_kinetic_scale(tmp_path):
+    # at b L = 1e-20 the two sech^2 terms cancel: X_estimate is exactly 0
+    doc = dict(BASE_DOC)
+    doc["scan"] = {**_REGIMES_SCAN, "b": _range(1.0, 1.0, 1),
+                   "L": _range(1e-20, 1e-20, 1)}
+    out = tmp_path / "o"
+    assert _run(["regimes", "--config", _write(tmp_path, doc), "--out",
+                 str(out), "--quiet"]) == 2
+    assert not os.listdir(out)
 
 
 def test_eos_scan_needs_scan_range(tmp_path):

@@ -2,6 +2,7 @@
 
 import glob
 import json
+import math
 import os
 
 import pytest
@@ -18,7 +19,7 @@ from kessence.config import (
     serialize_config,
 )
 from kessence.errors import ConfigError
-from kessence.evolution import DeSitter, PowerLaw
+from kessence.evolution import DeSitter, PowerLaw, StepControl, initial_state
 from kessence.model import ConstantPotential, KineticModel, QuadraticPotential
 from kessence.walls import WallProfile
 
@@ -40,7 +41,6 @@ def test_minimal_config():
     assert cfg.background == DeSitter(H=1.0)
     assert cfg.output == OutputSpec()
     assert cfg.wall is None and cfg.scan is None and cfg.evolve is None
-    assert cfg.scan_ranges() == {}
 
 
 def test_full_config_round_trip():
@@ -50,8 +50,9 @@ def test_full_config_round_trip():
         background=PowerLaw(p=0.5, t0=2.0),
         wall=WallProfile(b=4.0, L=6.0),
         scan={"b": ScanRange(1.0, 8.0, 4), "eps0": ScanRange(0.1, 0.1, 1)},
-        evolve=EvolveSpec(t_end=5.0, phidot=-3.0, t_start=1.0,
-                          kinetic_only=False, n_output=33),
+        evolve=EvolveSpec(t_end=5.0, init=initial_state(phidot=-3.0, t=1.0),
+                          control=StepControl(n_output=33),
+                          kinetic_only=False),
         output=OutputSpec(directory="results", stem="case7"),
     )
     text = serialize_config(cfg)
@@ -72,7 +73,8 @@ def test_preset_contents():
     assert fig2.wall == WallProfile(b=10.0, L=9.0)
     pp = preset_config("paper-point")
     assert pp.evolve.t_end == 3.0
-    assert pp.evolve.X == 1.05e3
+    assert pp.evolve.init == initial_state(X=1.05e3)
+    assert pp.evolve.control == StepControl()
     assert pp.scan["X"].count == 101
     assert pp.output.stem == "paper_point"
 
@@ -88,7 +90,16 @@ def test_shipped_configs_parse_and_round_trip():
     for path in paths:
         cfg = load_config(path)
         with open(path, "r", encoding="utf-8") as fh:
-            assert serialize_config(cfg) == fh.read()
+            text = fh.read()
+        doc = json.loads(text)
+        if "X" in doc.get("evolve", {}):
+            # an X-given initial state serializes as the phidot it parsed to
+            doc["evolve"] = {
+                "phidot" if key == "X" else key:
+                    math.sqrt(2.0 * value) if key == "X" else value
+                for key, value in doc["evolve"].items()}
+            text = json.dumps(doc, indent=2) + "\n"
+        assert serialize_config(cfg) == text
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -200,6 +211,57 @@ def test_domain_errors_become_config_errors():
     doc = _doc()
     doc["evolve"] = {"t_end": 1.0, "X": 2.0, "phidot": 1.0}
     _expect_error(doc, "invalid evolve")
+    for blocks, match in OUT_OF_DOMAIN:
+        _expect_error({**_doc(), **blocks}, match)
+
+
+_EVOLVE = {"t_end": 1.0, "X": 1050.0}
+_REGIMES_SCAN = {"eps0": {"min": 0.01, "max": 0.01, "count": 1},
+                 "F2": {"min": 10.0, "max": 10.0, "count": 1}}
+
+# (blocks that replace those of the minimal config, expected message):
+# the parse-level forms of test_cli.BAD_CONFIGS and their neighbours.
+OUT_OF_DOMAIN = [
+    ({"evolve": {**_EVOLVE, "rel_tol": 0.0}}, "invalid evolve: tolerances"),
+    ({"evolve": {**_EVOLVE, "abs_tol": -1.0}}, "invalid evolve: tolerances"),
+    ({"evolve": {**_EVOLVE, "n_output": 1}}, "invalid evolve: n_output"),
+    ({"evolve": {**_EVOLVE, "t_start": 2.0}}, "invalid evolve: t_end"),
+    ({"evolve": {**_EVOLVE, "a_start": 0.0}}, "invalid evolve: scale factor"),
+    ({"evolve": {**_EVOLVE, "X": -1.0}}, "invalid evolve: X must be"),
+    ({"evolve": {**_EVOLVE, "X": 1e308}}, "invalid evolve: X = phidot"),
+    ({"background": {"kind": "powerlaw", "p": 0.5},
+      "evolve": {**_EVOLVE, "t_start": 0.0}}, "invalid evolve: PowerLaw"),
+    ({"scan": {"b": {"min": -1.0, "max": 1.0, "count": 3}}},
+     r"invalid scan\.b: values must be > 0"),
+    ({"scan": {"L": {"min": 0.0, "max": 1.0, "count": 3}}},
+     r"invalid scan\.L: values must be > 0"),
+    ({"scan": {**_REGIMES_SCAN, "X0": {"min": 0.0, "max": 1.0, "count": 2}}},
+     r"invalid scan\.X0"),
+    ({"scan": {**_REGIMES_SCAN, "F2": {"min": 0.0, "max": 1.0, "count": 2}}},
+     r"invalid scan\.F2"),
+    ({"scan": {"eps0": {"min": -0.1, "max": 0.1, "count": 3}}},
+     r"invalid scan\.eps0: values must be >= 0"),
+    ({"scan": {"Xx": {"min": 1.0, "max": 2.0, "count": 2}}},
+     "unknown scan name"),
+    ({"scan": {"X": {"min": math.nan, "max": 1.0, "count": 2}}},
+     "must be finite"),
+    ({"scan": {"X": {"min": 1.0, "max": math.inf, "count": 2}}},
+     "must be finite"),
+    ({"evolve": {**_EVOLVE, "t_end": math.inf}}, "must be finite"),
+    ({"model": {"F2": 1.0, "X0": 10 ** 400}}, "must be finite"),
+    ({"output": {"stem": "../x"}}, "bare file name"),
+    ({"output": {"stem": "a/b"}}, "bare file name"),
+    ({"output": {"stem": ".."}}, "bare file name"),
+    ({"output": {"stem": ""}}, "bare file name"),
+]
+
+
+def test_every_documented_scan_name_parses():
+    doc = _doc()
+    doc["scan"] = {name: {"min": lo, "max": 2.0, "count": 2} for name, lo in
+                   (("X", -1.0), ("eps0", 0.0), ("b", 0.5), ("L", 0.5),
+                    ("X0", 0.5), ("F2", 0.5))}
+    assert sorted(parse_config(json.dumps(doc)).scan) == sorted(doc["scan"])
 
 
 def test_scan_range_validation():
@@ -212,9 +274,15 @@ def test_scan_range_validation():
 
 
 def test_evolve_spec_validation():
+    # the X-or-phidot rule lives in initial_state, which parsing calls
     with pytest.raises(ValueError):
-        EvolveSpec(t_end=1.0)
+        initial_state()
     with pytest.raises(ValueError):
-        EvolveSpec(t_end=1.0, X=1.0, phidot=2.0)
-    e = EvolveSpec(t_end=1.0, X=2.0)
-    assert e.kinetic_only is True and e.n_output == 201
+        initial_state(X=1.0, phidot=2.0)
+    doc = _doc()
+    doc["evolve"] = {"t_end": 1, "X": 2}
+    e = parse_config(json.dumps(doc)).evolve
+    assert e == EvolveSpec(t_end=1.0, init=initial_state(X=2.0))
+    assert (e.init.t, e.init.a, e.init.phi, e.init.phidot) == (0.0, 1.0, 0.0, 2.0)
+    assert e.control == StepControl(rel_tol=1e-8, abs_tol=1e-10, n_output=201)
+    assert e.kinetic_only is True
