@@ -10,8 +10,9 @@ import argparse
 import collections
 import csv
 import os
+import sys
 
-from kessence.cli import run_regimes
+from kessence import cli
 from kessence.config import load_config
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..",
@@ -24,11 +25,13 @@ def main():
     ap.add_argument("--out", default="out/regimes", help="output directory")
     args = ap.parse_args()
 
-    config = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    written = run_regimes(config, args.out, quiet=True)
+    status = cli.main(["regimes", "--config", args.config, "--out", args.out,
+                       "--quiet"])
+    if status:
+        sys.exit(status)
 
-    table = os.path.join(args.out, written[0])
+    stem = load_config(args.config).output.stem
+    table = os.path.join(args.out, f"{stem}_regimes.csv")
     with open(table, newline="") as fh:
         counts = collections.Counter(row["regime_label"]
                                      for row in csv.DictReader(fh))

@@ -29,7 +29,6 @@ from .model import (
     w_perturbed_exact,
     w_thinwall_approx,
     cs2_thinwall_approx,
-    scaling_X_of_a,
     scaling_cs2_of_a,
     classify_regime,
     classify_regimes,

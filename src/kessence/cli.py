@@ -7,9 +7,9 @@ files.  Floats are printed with repr() (shortest round-trip form), NaN
 as the literal token NAN, and no timestamps or absolute paths appear in
 any output file.
 
-Each command evaluates its table as whole columns (numpy arrays) and
-hands them to one writer, `_write_file`, which formats and writes them
-CHUNK_ROWS rows at a time.
+Each command yields its files as (name, lines, columns), after every
+check and computation that can fail; `main` alone writes them, with
+`_write_file`, so a failed run creates nothing.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .config import (
+    MAX_ROWS,
     PRESET_NAMES,
     RunConfig,
     load_config,
@@ -49,7 +50,7 @@ from .model import (
     w_perturbed_exact,
     w_thinwall_approx,
 )
-from .walls import WallProfile, sample_grid, sample_sharpness
+from .walls import WallProfile, default_grid, sample_grid, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
@@ -82,20 +83,22 @@ def _write_lines(fh, lines) -> None:
         fh.write("\n")
 
 
-def _write_file(out_dir: str, name: str, quiet: bool, lines,
-                columns=()) -> str:
+def _write_file(path: str, lines, columns) -> None:
     """Write `lines`, then one CSV row per index of the equal-length
-    `columns`, formatted CHUNK_ROWS rows at a time; returns `name`."""
-    path = os.path.join(out_dir, name)
+    `columns`, formatted CHUNK_ROWS rows at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_lines(fh, lines)
         n_rows = len(columns[0]) if columns else 0
         for lo in range(0, n_rows, CHUNK_ROWS):
             cells = [_cells(c[lo:lo + CHUNK_ROWS]) for c in columns]
             _write_lines(fh, ["\n".join(map(",".join, zip(*cells)))])
-    if not quiet:
-        print(f"wrote {path}")
-    return name
+
+
+def _check_rows(table: str, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise ConfigError(
+            f"{table} would have {rows} rows, over the row cap "
+            f"MAX_ROWS={MAX_ROWS}")
 
 
 def _scan_values(scan: dict, key: str) -> np.ndarray:
@@ -122,7 +125,7 @@ def _notes(n_rows: int, rules) -> np.ndarray:
 # eos-scan
 # ---------------------------------------------------------------------------
 
-def run_eos_scan(config: RunConfig, out_dir: str, quiet: bool = False):
+def run_eos_scan(config: RunConfig):
     scan = config.scan or {}
     if "X" not in scan:
         raise ConfigError("eos-scan needs a scan.X range {min, max, count}")
@@ -151,65 +154,70 @@ def run_eos_scan(config: RunConfig, out_dir: str, quiet: bool = False):
         (below, "X < X0: perturbed closed forms need X >= X0"),
     ])
 
-    stem = config.output.stem
-    csv_name = _write_file(
-        out_dir, f"{stem}_eos_scan.csv", quiet,
-        ["X,F,F_X,w_exact,cs2_exact,w_perturbed_eq14,cs2_perturbed_eq11,"
-         "regime,note"],
-        [X, F, F_X, w_e, cs2_e, w_p, cs2_p, classify_regimes(w_e, cs2_e), notes])
-    summary_name = _write_file(out_dir, f"{stem}_eos_scan_summary.txt", quiet, [
+    csv_name = f"{config.output.stem}_eos_scan.csv"
+    yield (csv_name,
+           ["X,F,F_X,w_exact,cs2_exact,w_perturbed_eq14,cs2_perturbed_eq11,"
+            "regime,note"],
+           [X, F, F_X, w_e, cs2_e, w_p, cs2_p, classify_regimes(w_e, cs2_e),
+            notes])
+    yield (f"{config.output.stem}_eos_scan_summary.txt", [
         "eos-scan summary",
         _model_line(m),
         f"points: {X.size}",
         f"X range: [{_fmt(X[0])}, {_fmt(X[-1])}]",
         f"rows with notes: {np.count_nonzero(notes != '')}",
         f"table: {csv_name}",
-    ])
-    return [csv_name, summary_name]
+    ], ())
 
 
 # ---------------------------------------------------------------------------
 # wall
 # ---------------------------------------------------------------------------
 
-def run_wall(config: RunConfig, out_dir: str, quiet: bool = False):
+def run_wall(config: RunConfig):
     if config.wall is None:
         raise ConfigError("wall command needs a wall block {b, L}")
     scan = config.scan or {}
     b_vals = _scan_values(scan, "b").tolist() if "b" in scan else [config.wall.b]
     L_vals = _scan_values(scan, "L").tolist() if "L" in scan else [config.wall.L]
+    _check_rows("the sharpness table", len(b_vals) * len(L_vals))
+    # The last wall, with the largest b and L, has the most profile rows:
+    # ceil(width / spacing) + 1, checked without the division because the
+    # spacing of a very steep wall underflows to 0.
+    x_min, x_max, spacing = default_grid(WallProfile(b=b_vals[-1], L=L_vals[-1]))
+    if not x_max - x_min <= (MAX_ROWS - 1) * spacing:
+        raise ConfigError(
+            f"the wall b={b_vals[-1]!r}, L={L_vals[-1]!r} would sample more "
+            f"than the row cap MAX_ROWS={MAX_ROWS} points per profile")
 
     stem = config.output.stem
-    written = []
+    profiles = []
     sharp_rows = []
     for b in b_vals:
         for L in L_vals:
             s = sample_grid(WallProfile(b=b, L=L))
-            written.append(_write_file(
-                out_dir, f"{stem}_profile_b{b:g}_L{L:g}.csv", quiet,
-                ["x,phi,dphi_dx,X_mag"], [s.x, s.phi, s.dphi_dx, s.X_mag]))
+            profiles.append(f"{stem}_profile_b{b:g}_L{L:g}.csv")
+            yield (profiles[-1], ["x,phi,dphi_dx,X_mag"],
+                   [s.x, s.phi, s.dphi_dx, s.X_mag])
             rep = sample_sharpness(s)
             sharp_rows.append((b, L, rep.peak_value, rep.peak_positions[1],
                                rep.half_width, rep.integral))
 
-    sharp_name = _write_file(
-        out_dir, f"{stem}_sharpness.csv", quiet,
-        ["b,L,peak_value,peak_position,half_width,integral"],
-        list(zip(*sharp_rows)))
+    sharp_name = f"{stem}_sharpness.csv"
+    yield (sharp_name, ["b,L,peak_value,peak_position,half_width,integral"],
+           list(zip(*sharp_rows)))
     summary = ["wall summary", f"combinations: {len(b_vals) * len(L_vals)}",
                "profile files:"]
-    summary.extend(f"  {name}" for name in written)
+    summary.extend(f"  {name}" for name in profiles)
     summary.append(f"sharpness table: {sharp_name}")
-    summary_name = _write_file(out_dir, f"{stem}_wall_summary.txt", quiet,
-                               summary)
-    return written + [sharp_name, summary_name]
+    yield f"{stem}_wall_summary.txt", summary, ()
 
 
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
 
-def run_evolve(config: RunConfig, out_dir: str, quiet: bool = False):
+def run_evolve(config: RunConfig):
     ev = config.evolve
     if ev is None:
         raise ConfigError("evolve command needs an evolve block")
@@ -221,11 +229,6 @@ def run_evolve(config: RunConfig, out_dir: str, quiet: bool = False):
         tr = evolve_full(config.model, config.potential, config.background,
                          ev.init, ev.t_end, ev.control)
         mode = "full"
-
-    stem = config.output.stem
-    csv_name = _write_file(
-        out_dir, f"{stem}_trajectory.csv", quiet, ["t,a,phi,phidot,X,w,cs2,Q"],
-        [tr.t, tr.a, tr.phi, tr.phidot, tr.X, tr.w, tr.cs2, tr.Q])
 
     summary = [
         "evolve summary",
@@ -265,16 +268,17 @@ def run_evolve(config: RunConfig, out_dir: str, quiet: bool = False):
             "drift is expected with a varying potential")
     summary.append("conservation: " + ("PASS" if drift <= bound else "FAILED"))
 
-    summary_name = _write_file(out_dir, f"{stem}_evolve_summary.txt", quiet,
-                               summary)
-    return [csv_name, summary_name]
+    stem = config.output.stem
+    yield (f"{stem}_trajectory.csv", ["t,a,phi,phidot,X,w,cs2,Q"],
+           [tr.t, tr.a, tr.phi, tr.phidot, tr.X, tr.w, tr.cs2, tr.Q])
+    yield f"{stem}_evolve_summary.txt", summary, ()
 
 
 # ---------------------------------------------------------------------------
 # regimes
 # ---------------------------------------------------------------------------
 
-def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
+def run_regimes(config: RunConfig):
     scan = config.scan or {}
     for key in ("eps0", "F2"):
         if key not in scan:
@@ -283,10 +287,7 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
         raise ConfigError("regimes needs scan.b or scan.X0")
     eps_vals = _scan_values(scan, "eps0")
     F2_vals = _scan_values(scan, "F2")
-
-    # One (b, L, X0) block per wall or direct X0 value; b and L are NAN
-    # for direct X0 scans.
-    blocks = []
+    b_vals = L_vals = []
     if "b" in scan:
         if "L" in scan:
             L_vals = _scan_values(scan, "L").tolist()
@@ -294,21 +295,29 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
             L_vals = [config.wall.L]
         else:
             raise ConfigError("b-indexed regime scan needs scan.L or a wall block")
-        for b in _scan_values(scan, "b").tolist():
-            for L in L_vals:
-                # The wall fixes the kinetic scale: X0 is the spike height
-                # of X_mag at the wall centre x = L/2.  Evaluated one wall
-                # at a time: numpy's vectorised exp may differ from the
-                # scalar one in the last bit.
+        b_vals = _scan_values(scan, "b").tolist()
+    X0_vals = _scan_values(scan, "X0").tolist() if "X0" in scan else []
+    _check_rows("the regimes table",
+                (len(b_vals) * len(L_vals) + len(X0_vals))
+                * eps_vals.size * F2_vals.size)
+
+    # One (b, L, X0) block per wall or direct X0 value; b and L are NAN
+    # for direct X0 scans.
+    blocks = []
+    for b in b_vals:
+        for L in L_vals:
+            # The wall fixes the kinetic scale: X0 is the spike height of
+            # X_mag at the wall centre x = L/2.  Evaluated one wall at a
+            # time: numpy's vectorised exp may differ from the scalar one in
+            # the last bit.
+            with np.errstate(over="ignore"):
                 X_est = float(WallProfile(b=b, L=L).kinetic_magnitude(L / 2.0))
-                if X_est == 0.0:
-                    raise ConfigError(
-                        f"the wall b={b!r}, L={L!r} is too thin: its kinetic "
-                        "scale X_estimate underflows to 0")
-                blocks.append((b, L, X_est))
-    if "X0" in scan:
-        blocks.extend((math.nan, math.nan, X0)
-                      for X0 in _scan_values(scan, "X0").tolist())
+            if not 0.0 < X_est < math.inf:
+                raise ConfigError(
+                    f"the wall b={b!r}, L={L!r} has no usable kinetic scale: "
+                    f"X_estimate = {X_est!r} must be finite and > 0")
+            blocks.append((b, L, X_est))
+    blocks.extend((math.nan, math.nan, X0) for X0 in X0_vals)
 
     # Rows run block -> eps0 -> F2, the order of nested loops over them.
     k, eps0, F2 = (g.ravel() for g in np.meshgrid(
@@ -321,12 +330,6 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
         w_p, _ = w_thinwall_approx(X0, eps0, F2, masked=True)
         cs2_p, _ = cs2_thinwall_approx(X0, eps0, masked=True)
     label = classify_regimes(w_p, cs2_p)
-
-    csv_name = _write_file(
-        out_dir, f"{config.output.stem}_regimes.csv", quiet,
-        ["b,L,X_estimate,eps0,F2,w_exact,w_paper,cs2_exact,cs2_paper,"
-         "regime_label"],
-        [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p, label])
 
     report = ["regime discrepancy report", f"rows: {k.size}"]
     for quantity, exact, approx in (("w", w_e, w_p), ("cs2", cs2_e, cs2_p)):
@@ -352,9 +355,11 @@ def run_regimes(config: RunConfig, out_dir: str, quiet: bool = False):
             flagged = "yes" if gaps[j] > 0.9 else "no"
             report.append(f"  w discrepancy exceeds 0.9: {flagged}")
 
-    report_name = _write_file(
-        out_dir, f"{config.output.stem}_discrepancy.txt", quiet, report)
-    return [csv_name, report_name]
+    yield (f"{config.output.stem}_regimes.csv",
+           ["b,L,X_estimate,eps0,F2,w_exact,w_paper,cs2_exact,cs2_paper,"
+            "regime_label"],
+           [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p, label])
+    yield f"{config.output.stem}_discrepancy.txt", report, ()
 
 
 # ---------------------------------------------------------------------------
@@ -372,33 +377,46 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kessence",
-        description="pure-kinetic k-essence scans, wall profiles and evolutions")
-    sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (runner, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        group = sp.add_mutually_exclusive_group(required=True)
-        group.add_argument("--config", metavar="PATH",
-                           help="JSON run configuration")
-        group.add_argument("--preset", choices=PRESET_NAMES,
-                           help="built-in configuration")
-        sp.add_argument("--out", metavar="DIR",
-                        help="output directory (overrides config)")
-        sp.add_argument("--quiet", action="store_true",
-                        help="suppress progress output")
-        sp.set_defaults(runner=runner)
+        usage="%(prog)s COMMAND (--config PATH | --preset NAME) [--out DIR] "
+              "[--quiet]",
+        description="pure-kinetic k-essence scans, wall profiles and evolutions",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:10s}{help_text}"
+            for name, (_, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                    help="one of the commands below")
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--config", metavar="PATH",
+                       help="JSON run configuration")
+    group.add_argument("--preset", choices=PRESET_NAMES, metavar="NAME",
+                       help="built-in configuration: "
+                            + ", ".join(PRESET_NAMES))
+    ap.add_argument("--out", metavar="DIR",
+                    help="output directory (overrides config)")
+    ap.add_argument("--quiet", action="store_true",
+                    help="suppress progress output")
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config is not None:
             config = load_config(args.config)
         else:
             config = preset_config(args.preset)
         out_dir = args.out if args.out is not None else config.output.directory
-        os.makedirs(out_dir, exist_ok=True)
-        args.runner(config, out_dir, quiet=args.quiet)
+        run = _COMMANDS[args.command][0]
+        for name, lines, columns in run(config):
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, name)
+            _write_file(path, lines, columns)
+            if not args.quiet:
+                print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from .model import ConstantPotential, KineticModel, PotentialSpec, QuadraticPote
 from .walls import WallProfile
 
 __all__ = [
+    "MAX_ROWS",
     "ScanRange",
     "EvolveSpec",
     "OutputSpec",
@@ -43,6 +44,11 @@ __all__ = [
     "preset_config",
     "PRESET_NAMES",
 ]
+
+# The most rows one output table may hold: ten times the largest benchmark
+# table.  Scan counts and n_output are held to it here; the commands hold
+# the sizes they derive from several ranges to it before computing them.
+MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -132,10 +138,13 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(v)
 
 
-def _integer(obj: dict, key: str, where: str) -> int:
+def _row_count(obj: dict, key: str, where: str) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
+    if v > MAX_ROWS:
+        raise ConfigError(
+            f"{where}.{key}={v} exceeds the row cap MAX_ROWS={MAX_ROWS}")
     return v
 
 
@@ -206,7 +215,7 @@ def _parse_scan(obj) -> dict:
         with _invalid(where):
             r = ScanRange(min=_number(entry, "min", where),
                           max=_number(entry, "max", where),
-                          count=_integer(entry, "count", where))
+                          count=_row_count(entry, "count", where))
         in_domain, rule = _SCAN_DOMAINS[name]
         if not in_domain(r.min):
             raise ConfigError(f"invalid {where}: values must be {rule}, "
@@ -227,14 +236,14 @@ def _parse_evolve(obj, background: BackgroundSpec) -> EvolveSpec:
     control = {key: _number(obj, key, "evolve")
                for key in ("rel_tol", "abs_tol") if key in obj}
     if "n_output" in obj:
-        control["n_output"] = _integer(obj, "n_output", "evolve")
+        control["n_output"] = _row_count(obj, "n_output", "evolve")
     kinetic_only = (_boolean(obj, "kinetic_only", "evolve")
                     if "kinetic_only" in obj else True)
     with _invalid("evolve"):
         init = initial_state(**state)
-        _check_window(background, init, t_end)
-        return EvolveSpec(t_end=t_end, init=init,
-                          control=StepControl(**control),
+        control = StepControl(**control)
+        _check_window(background, init, t_end, control.n_output)
+        return EvolveSpec(t_end=t_end, init=init, control=control,
                           kinetic_only=kinetic_only)
 
 

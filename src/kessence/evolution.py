@@ -223,9 +223,14 @@ def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
 
 
 def _check_window(background: BackgroundSpec, init: FieldState,
-                  t_end: float) -> None:
+                  t_end: float, n_output: int) -> None:
     if not t_end > init.t:
         raise ValueError(f"t_end={t_end} must exceed init.t={init.t}")
+    # The solver reports at these times and needs them strictly increasing.
+    if not np.all(np.diff(np.linspace(init.t, t_end, n_output)) > 0.0):
+        raise ValueError(
+            f"the window [{init.t!r}, {t_end!r}] does not hold "
+            f"n_output={n_output} strictly increasing float times")
     if isinstance(background, PowerLaw) and init.t <= 0.0:
         raise ValueError(
             "PowerLaw background needs t > 0 over the whole window; "
@@ -255,7 +260,7 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
     equation.  The phidd coefficient is checked on every right-hand-side
     evaluation and SingularMassMatrix is raised if it degenerates.
     """
-    _check_window(background, init, t_end)
+    _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
 
     def rhs(t, y):
@@ -293,7 +298,7 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     Q column conserves to the integrator tolerance, not to the (much
     worse) precision of a phidot round trip.
     """
-    _check_window(background, init, t_end)
+    _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
 
     X0 = model.X0

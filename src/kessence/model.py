@@ -296,17 +296,10 @@ def cs2_thinwall_approx(X0, eps0, *, masked: bool = False):
 # Dilution scaling solution
 # ---------------------------------------------------------------------------
 
-def scaling_X_of_a(s: ScalingSolution, a):
-    """X(a) = X0 * (1 + eps1 * (a/a1)^-3)."""
-    if not np.all(a > 0):
-        raise ValueError("scale factor a must be > 0")
-    return s.X0 * (1.0 + s.eps1 * (a / s.a1) ** -3.0)
-
-
 def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     """Sound speed along the scaling solution.
 
-    mode="exact" evaluates (X - X0)/(3 X - X0) with X from scaling_X_of_a;
+    mode="exact" evaluates (X - X0)/(3 X - X0) at X = X0 (1 + eps1 (a/a1)^-3);
     mode="first_order" evaluates eps1/2 * (a/a1)^-3. For |eps1| << 1 the
     two agree to O(eps1^2).
     """

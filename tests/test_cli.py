@@ -9,11 +9,13 @@ import filecmp
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from kessence.cli import _fmt, main
+from kessence.config import MAX_ROWS
 from kessence.errors import DegenerateDenominator
 from kessence.model import (
     KineticModel,
@@ -229,10 +231,10 @@ def test_regimes_rows_against_library(tmp_path):
                                              best_row))
 
 
-def _bad(command, block_updates, case_id):
+def _bad(code, command, block_updates, case_id):
     doc = json.loads(json.dumps(BASE_DOC))
     doc.update(block_updates)
-    return pytest.param(command, doc, id=case_id)
+    return pytest.param(code, command, doc, id=case_id)
 
 
 _EVOLVE = {"t_end": 1.0, "X": 1050.0}
@@ -244,68 +246,103 @@ def _range(lo, hi, count):
     return {"min": lo, "max": hi, "count": count}
 
 
-# Configs whose values lie outside the documented domain; each must stop
-# at parse time with exit 2, before anything is written.
+# Runs that must fail before anything is written: (exit code, command,
+# config).  Exit 2 is a config the command cannot run, exit 3 a numeric
+# failure.
 BAD_CONFIGS = [
     # the thin-wall w divides by F2, so a scan through F2 = 0 is an error
-    _bad("regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
-                              "F2": _range(0.0, 10.0, 2)}}, "regimes-F2-zero"),
-    _bad("regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
-                              "F2": _range(-5.0, 10.0, 2)}},
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
+                                 "F2": _range(0.0, 10.0, 2)}},
+         "regimes-F2-zero"),
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
+                                 "F2": _range(-5.0, 10.0, 2)}},
          "regimes-F2-negative"),
-    _bad("evolve", {"evolve": {**_EVOLVE, "rel_tol": 0.0}}, "evolve-rel_tol-0"),
-    _bad("evolve", {"evolve": {**_EVOLVE, "n_output": 1}}, "evolve-n_output-1"),
-    _bad("evolve", {"evolve": {**_EVOLVE, "t_start": 2.0}},
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "rel_tol": 0.0}},
+         "evolve-rel_tol-0"),
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "n_output": 1}},
+         "evolve-n_output-1"),
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "t_start": 2.0}},
          "evolve-t_end-before-t_start"),
-    _bad("evolve", {"evolve": {**_EVOLVE, "a_start": 0.0}}, "evolve-a_start-0"),
-    _bad("evolve", {"evolve": {**_EVOLVE, "X": -1.0}}, "evolve-X-negative"),
-    _bad("evolve", {"background": {"kind": "powerlaw", "p": 0.5},
-                    "evolve": {**_EVOLVE, "t_start": 0.0}},
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "a_start": 0.0}},
+         "evolve-a_start-0"),
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "X": -1.0}}, "evolve-X-negative"),
+    _bad(2, "evolve", {"background": {"kind": "powerlaw", "p": 0.5},
+                       "evolve": {**_EVOLVE, "t_start": 0.0}},
          "evolve-powerlaw-t_start-0"),
-    _bad("wall", {"wall": {"b": 1.0, "L": 1.0},
-                  "scan": {"b": _range(-1.0, 1.0, 3)}}, "wall-b-nonpositive"),
-    _bad("regimes", {"wall": {"b": 1.0, "L": 1.0},
-                     "scan": {**_REGIMES_SCAN, "b": _range(-1.0, 1.0, 3)}},
+    _bad(2, "wall", {"wall": {"b": 1.0, "L": 1.0},
+                     "scan": {"b": _range(-1.0, 1.0, 3)}},
+         "wall-b-nonpositive"),
+    _bad(2, "regimes", {"wall": {"b": 1.0, "L": 1.0},
+                        "scan": {**_REGIMES_SCAN, "b": _range(-1.0, 1.0, 3)}},
          "regimes-b-nonpositive"),
-    _bad("regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1.0, 2.0, 2),
-                              "L": _range(-1.0, 1.0, 3)}},
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1.0, 2.0, 2),
+                                 "L": _range(-1.0, 1.0, 3)}},
          "regimes-L-nonpositive"),
-    _bad("eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3),
-                               "Xx": _range(1.0, 2.0, 2)}},
+    _bad(2, "eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3),
+                                  "Xx": _range(1.0, 2.0, 2)}},
          "eos-scan-unknown-scan-name"),
-    _bad("eos-scan", {"scan": {"X": _range(math.nan, 1100.0, 3)}},
+    _bad(2, "eos-scan", {"scan": {"X": _range(math.nan, 1100.0, 3)}},
          "eos-scan-NaN-bound"),
-    _bad("eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3)},
-                      "output": {"stem": "../x"}}, "eos-scan-stem-escapes"),
+    _bad(2, "eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3)},
+                         "output": {"stem": "../x"}}, "eos-scan-stem-escapes"),
+    # a command whose block or ranges are missing
+    _bad(2, "eos-scan", {}, "eos-scan-no-scan-X"),
+    _bad(2, "wall", {}, "wall-no-wall-block"),
+    _bad(2, "evolve", {}, "evolve-no-evolve-block"),
+    _bad(2, "regimes", {"scan": {"eps0": _range(0.01, 0.01, 1)}},
+         "regimes-no-F2-no-b-no-X0"),
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(5.0, 5.0, 1)}},
+         "regimes-b-without-L"),
+    # a wall whose kinetic scale X_estimate is not finite and > 0: at
+    # b L = 1e-20 the two sech^2 terms cancel to 0; at b = 1e300 it overflows
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1.0, 1.0, 1),
+                                 "L": _range(1e-20, 1e-20, 1)}},
+         "regimes-X_estimate-0"),
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1e300, 1e300, 1),
+                                 "L": _range(9.0, 9.0, 1)}},
+         "regimes-X_estimate-inf"),
+    # fewer distinct float times in the window than n_output
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "t_start": 1.0,
+                                  "t_end": 1.000000000000001}},
+         "evolve-window-narrower-than-n_output"),
+    # tables over the row cap MAX_ROWS, given or derived
+    _bad(2, "eos-scan", {"scan": {"X": _range(1.0, 2.0, MAX_ROWS + 1)}},
+         "eos-scan-count-over-cap"),
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "n_output": MAX_ROWS + 1}},
+         "evolve-n_output-over-cap"),
+    _bad(2, "regimes", {"scan": {"X0": _range(1.0, 2.0, 1001),
+                                 "eps0": _range(0.0, 1.0, 1000),
+                                 "F2": _range(1.0, 1.0, 1)}},
+         "regimes-grid-over-cap"),
+    _bad(2, "wall", {"wall": {"b": 1.0, "L": 1.0},
+                     "scan": {"b": _range(1.0, 2.0, 1001),
+                              "L": _range(1.0, 2.0, 1000)}},
+         "wall-sharpness-table-over-cap"),
+    # profile grids too fine: the spacing underflows to 0 at b = 1e308
+    _bad(2, "wall", {"wall": {"b": 1e308, "L": 9.0}}, "wall-b-1e308"),
+    _bad(2, "wall", {"wall": {"b": 1e10, "L": 9.0}}, "wall-profile-over-cap"),
+    # X = X0/3 makes the phidd coefficient singular
+    _bad(3, "evolve", {"model": {"F2": 10.0, "X0": 3.0},
+                       "evolve": {"t_end": 1.0, "X": 1.0}},
+         "evolve-singular-coefficient"),
 ]
 
 
-@pytest.mark.parametrize("command,doc", BAD_CONFIGS)
-def test_bad_config_exits_two(tmp_path, capsys, command, doc):
+@pytest.mark.parametrize("code,command,doc", BAD_CONFIGS)
+def test_bad_config_exits_two(tmp_path, capsys, code, command, doc):
+    """Each row exits with its code, prints one line and writes nothing."""
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o" / "sub"
-    assert _run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([command, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == code
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    prefix = {2: "config error: ", 3: "numeric failure: "}[code]
+    assert err.startswith(prefix) and err.count("\n") == 1
     # nothing was written, inside --out or next to it
+    assert not out.exists()
     assert os.listdir(tmp_path) == ["cfg.json"]
-
-
-def test_regimes_rejects_wall_without_kinetic_scale(tmp_path):
-    # at b L = 1e-20 the two sech^2 terms cancel: X_estimate is exactly 0
-    doc = dict(BASE_DOC)
-    doc["scan"] = {**_REGIMES_SCAN, "b": _range(1.0, 1.0, 1),
-                   "L": _range(1e-20, 1e-20, 1)}
-    out = tmp_path / "o"
-    assert _run(["regimes", "--config", _write(tmp_path, doc), "--out",
-                 str(out), "--quiet"]) == 2
-    assert not os.listdir(out)
-
-
-def test_eos_scan_needs_scan_range(tmp_path):
-    cfg = _write(tmp_path, dict(BASE_DOC))
-    assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +398,6 @@ def test_wall_doubling_ratio(tmp_path):
     assert peak10 / peak5 == pytest.approx(4.0, rel=1e-2)
     assert w5 / w10 == pytest.approx(2.0, rel=2e-2)
     assert i10 / i5 == pytest.approx(2.0, rel=1e-2)
-
-
-def test_wall_needs_wall_block(tmp_path):
-    cfg = _write(tmp_path, dict(BASE_DOC))
-    assert _run(["wall", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +465,6 @@ def test_evolve_full_quadratic_notes_varying_potential(tmp_path):
     assert "mode: full" in summary
     assert any("Q is a first integral of the constant-V equation only"
                in s for s in summary)
-
-
-def test_evolve_needs_evolve_block(tmp_path):
-    cfg = _write(tmp_path, dict(BASE_DOC))
-    assert _run(["evolve", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +538,6 @@ def test_regimes_zero_eps0_row(tmp_path):
     assert rows[1] == "NAN,NAN,50.0,0.0,10.0,-1.0,-1.0,NAN,NAN,Unclassified"
 
 
-def test_regimes_requires_ranges(tmp_path):
-    doc = dict(BASE_DOC)
-    doc["scan"] = {"eps0": {"min": 0.01, "max": 0.01, "count": 1}}
-    cfg = _write(tmp_path, doc)
-    assert _run(["regimes", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
-    # b-indexed scans need an L source
-    doc["scan"] = {"b": {"min": 5.0, "max": 5.0, "count": 1},
-                   "eps0": {"min": 0.01, "max": 0.01, "count": 1},
-                   "F2": {"min": 10.0, "max": 10.0, "count": 1}}
-    cfg = _write(tmp_path, doc)
-    assert _run(["regimes", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
-
-
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -569,15 +579,6 @@ def test_exit_code_unknown_key(tmp_path):
 def test_exit_code_missing_config(tmp_path):
     assert _run(["eos-scan", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
-
-
-def test_exit_code_numeric_failure(tmp_path):
-    doc = dict(BASE_DOC)
-    doc["model"] = {"F2": 10.0, "X0": 3.0}
-    doc["evolve"] = {"t_end": 1.0, "X": 1.0}  # X0/3: singular coefficient
-    cfg = _write(tmp_path, doc)
-    assert _run(["evolve", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 3
 
 
 def test_exit_code_io_failure(tmp_path):

@@ -226,6 +226,10 @@ OUT_OF_DOMAIN = [
     ({"evolve": {**_EVOLVE, "abs_tol": -1.0}}, "invalid evolve: tolerances"),
     ({"evolve": {**_EVOLVE, "n_output": 1}}, "invalid evolve: n_output"),
     ({"evolve": {**_EVOLVE, "t_start": 2.0}}, "invalid evolve: t_end"),
+    ({"evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 1.000000000000001}},
+     "invalid evolve: the window"),
+    ({"evolve": {**_EVOLVE, "n_output": 1_000_001}}, "row cap"),
+    ({"scan": {"X": {"min": 1.0, "max": 2.0, "count": 1_000_001}}}, "row cap"),
     ({"evolve": {**_EVOLVE, "a_start": 0.0}}, "invalid evolve: scale factor"),
     ({"evolve": {**_EVOLVE, "X": -1.0}}, "invalid evolve: X must be"),
     ({"evolve": {**_EVOLVE, "X": 1e308}}, "invalid evolve: X = phidot"),

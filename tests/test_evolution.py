@@ -109,6 +109,10 @@ def test_window_validation():
     with pytest.raises(ValueError):
         evolve_kinetic_only(REF, PowerLaw(p=0.5), initial_state(X=1.05e3),
                             3.0)
+    # 201 distinct output times do not fit between 1 and a float 5 ulp above
+    with pytest.raises(ValueError, match="strictly increasing"):
+        evolve_kinetic_only(REF, BG, initial_state(X=1.05e3, t=1.0),
+                            1.000000000000001)
 
 
 # ---------------------------------------------------------------------------

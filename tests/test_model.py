@@ -33,7 +33,6 @@ from kessence.model import (
     guarded_div,
     pressure,
     scaling_cs2_of_a,
-    scaling_X_of_a,
     sound_speed,
     sound_speed_perturbed,
     w_perturbed_exact,
@@ -379,8 +378,6 @@ def test_masked_closed_forms_match_raising_forms():
 
 def test_scaling_values():
     s = ScalingSolution(X0=1e3, eps1=0.02, a1=2.0)
-    assert scaling_X_of_a(s, 2.0) == pytest.approx(1020.0, rel=1e-14)
-    assert scaling_X_of_a(s, 2000.0) == pytest.approx(1e3, rel=1e-9)
     assert scaling_cs2_of_a(s, 2.0) == pytest.approx(0.02 / 2.06, rel=1e-13)
     assert scaling_cs2_of_a(s, 2.0, mode="first_order") == pytest.approx(
         0.01, rel=1e-15)
@@ -391,7 +388,7 @@ def test_scaling_mode_and_domain_errors():
     with pytest.raises(ValueError):
         scaling_cs2_of_a(s, 1.0, mode="bogus")
     with pytest.raises(ValueError):
-        scaling_X_of_a(s, 0.0)
+        scaling_cs2_of_a(s, 0.0)
     with pytest.raises(ValueError):
         ScalingSolution(X0=0.0, eps1=0.1, a1=1.0)
     with pytest.raises(ValueError):
@@ -408,6 +405,6 @@ def test_scaling_cs2_pole_guarded():
 def test_scaling_cs2_matches_pointwise_form():
     s = ScalingSolution(X0=40.0, eps1=0.07, a1=1.5)
     a = np.geomspace(1.5, 150.0, 64)
-    X = scaling_X_of_a(s, a)
+    X = 40.0 * (1.0 + 0.07 * (a / 1.5) ** -3.0)
     m = KineticModel(F2=3.0, X0=40.0)
     assert np.allclose(scaling_cs2_of_a(s, a), sound_speed(m, X), rtol=1e-12)
