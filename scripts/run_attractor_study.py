@@ -45,7 +45,7 @@ def main():
             init = initial_state(X=(1.0 + c) * model.X0)
             tr = evolve_kinetic_only(model, background, init, args.t_end,
                                      control)
-            fit = fit_scaling(tr, 0.5)
+            fit = fit_scaling(tr)
             slope = scaling_slope(tr)
             drift = float(np.max(np.abs(tr.Q / tr.Q[0] - 1.0)))
             fh.write(f"{c!r},{fit.eps1!r},{fit.a1!r},{slope!r},"

@@ -5,7 +5,6 @@ from .errors import (
     KessenceError,
     DegenerateDenominator,
     InvalidGrid,
-    GridTooCoarse,
     SingularMassMatrix,
     StepFailure,
     FitDomain,
@@ -41,7 +40,6 @@ from .walls import (
     DerivativeCheck,
     sample,
     default_grid,
-    sample_grid,
     sharpness,
     sample_sharpness,
     check_derivative,

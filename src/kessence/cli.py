@@ -50,7 +50,7 @@ from .model import (
     w_perturbed_exact,
     w_thinwall_approx,
 )
-from .walls import WallProfile, default_grid, sample_grid, sample_sharpness
+from .walls import WallProfile, default_grid, sample, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
@@ -99,6 +99,22 @@ def _check_rows(table: str, rows: int) -> None:
         raise ConfigError(
             f"{table} would have {rows} rows, over the row cap "
             f"MAX_ROWS={MAX_ROWS}")
+
+
+def _kinetic_scale(b: float, L: float) -> float:
+    """X_mag(L/2), the kinetic scale of the wall (b, L), which must be > 0.
+
+    (pi b)^2 must be finite too: |dphi/dx| <= pi b, so then every sampled
+    X_mag and every trapezoid pair sum of X_mag stays finite.
+    """
+    steep = math.pi * b
+    if steep * steep < math.inf:
+        X_est = float(WallProfile(b=b, L=L).kinetic_magnitude(L / 2.0))
+        if X_est > 0.0:
+            return X_est
+    raise ConfigError(
+        f"the wall b={b!r}, L={L!r} has no usable kinetic scale: "
+        "X_mag(L/2) must be > 0 and (pi b)^2 finite")
 
 
 def _scan_values(scan: dict, key: str) -> np.ndarray:
@@ -190,23 +206,31 @@ def run_wall(config: RunConfig):
             f"the wall b={b_vals[-1]!r}, L={L_vals[-1]!r} would sample more "
             f"than the row cap MAX_ROWS={MAX_ROWS} points per profile")
 
+    pairs = [(b, L) for b in b_vals for L in L_vals]
+    for b, L in pairs:
+        _kinetic_scale(b, L)
     stem = config.output.stem
-    profiles = []
+    profiles = [f"{stem}_profile_b{b:g}_L{L:g}.csv" for b, L in pairs]
+    seen = set()
+    for name in profiles:
+        if name in seen:
+            raise ConfigError(
+                f"two walls of the scan would both write {name}: profile "
+                "file names hold b and L to 6 significant digits")
+        seen.add(name)
+
     sharp_rows = []
-    for b in b_vals:
-        for L in L_vals:
-            s = sample_grid(WallProfile(b=b, L=L))
-            profiles.append(f"{stem}_profile_b{b:g}_L{L:g}.csv")
-            yield (profiles[-1], ["x,phi,dphi_dx,X_mag"],
-                   [s.x, s.phi, s.dphi_dx, s.X_mag])
-            rep = sample_sharpness(s)
-            sharp_rows.append((b, L, rep.peak_value, rep.peak_positions[1],
-                               rep.half_width, rep.integral))
+    for (b, L), name in zip(pairs, profiles):
+        s = sample(WallProfile(b=b, L=L))
+        yield name, ["x,phi,dphi_dx,X_mag"], [s.x, s.phi, s.dphi_dx, s.X_mag]
+        rep = sample_sharpness(s)
+        sharp_rows.append((b, L, rep.peak_value, rep.peak_positions[1],
+                           rep.half_width, rep.integral))
 
     sharp_name = f"{stem}_sharpness.csv"
     yield (sharp_name, ["b,L,peak_value,peak_position,half_width,integral"],
            list(zip(*sharp_rows)))
-    summary = ["wall summary", f"combinations: {len(b_vals) * len(L_vals)}",
+    summary = ["wall summary", f"combinations: {len(pairs)}",
                "profile files:"]
     summary.extend(f"  {name}" for name in profiles)
     summary.append(f"sharpness table: {sharp_name}")
@@ -237,11 +261,11 @@ def run_evolve(config: RunConfig):
         f"rows: {len(tr)}",
     ]
     try:
-        fit = fit_scaling(tr, 0.5)
+        fit = fit_scaling(tr)
         summary.append(f"fitted eps1 = {_fmt(fit.eps1)}")
         summary.append(f"fitted a1 = {_fmt(fit.a1)}")
         summary.append(f"fit max residual = {_fmt(fit.max_residual)}")
-    except (FitDomain, ValueError) as exc:
+    except FitDomain as exc:
         summary.append(f"scaling fit not available: {exc}")
     try:
         slope = scaling_slope(tr)
@@ -302,21 +326,10 @@ def run_regimes(config: RunConfig):
                 * eps_vals.size * F2_vals.size)
 
     # One (b, L, X0) block per wall or direct X0 value; b and L are NAN
-    # for direct X0 scans.
-    blocks = []
-    for b in b_vals:
-        for L in L_vals:
-            # The wall fixes the kinetic scale: X0 is the spike height of
-            # X_mag at the wall centre x = L/2.  Evaluated one wall at a
-            # time: numpy's vectorised exp may differ from the scalar one in
-            # the last bit.
-            with np.errstate(over="ignore"):
-                X_est = float(WallProfile(b=b, L=L).kinetic_magnitude(L / 2.0))
-            if not 0.0 < X_est < math.inf:
-                raise ConfigError(
-                    f"the wall b={b!r}, L={L!r} has no usable kinetic scale: "
-                    f"X_estimate = {X_est!r} must be finite and > 0")
-            blocks.append((b, L, X_est))
+    # for direct X0 scans.  A wall fixes X0 as its spike height at the wall
+    # centre, evaluated one wall at a time because numpy's vectorised exp
+    # may differ from the scalar one in the last bit.
+    blocks = [(b, L, _kinetic_scale(b, L)) for b in b_vals for L in L_vals]
     blocks.extend((math.nan, math.nan, X0) for X0 in X0_vals)
 
     # Rows run block -> eps0 -> F2, the order of nested loops over them.

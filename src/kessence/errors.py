@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Numeric guards raise rather than returning NaN so that callers can decide
+The closed forms raise DegenerateDenominator at a pole, or with
+masked=True return NaN there plus the pole mask, so the caller decides
 whether a degenerate point is fatal (library use) or just a NAN cell in a
 CSV row (the CLI scans).
 """
@@ -15,11 +16,7 @@ class DegenerateDenominator(KessenceError):
 
 
 class InvalidGrid(KessenceError):
-    """Sampling grid request violates x_min < x_max or n_points >= 2."""
-
-
-class GridTooCoarse(KessenceError):
-    """Grid spacing does not resolve the wall thickness (spacing > 1/(10 b))."""
+    """A profile sample does not straddle x = 0, where the walls' midpoint sits."""
 
 
 class SingularMassMatrix(KessenceError):
@@ -31,8 +28,10 @@ class StepFailure(KessenceError):
 
 
 class FitDomain(KessenceError):
-    """Scaling fit requires X > X0 on every tail row."""
+    """The fit tail or slope window is too short or has rows with X <= X0."""
 
 
 class ConfigError(KessenceError):
-    """Configuration file is malformed, incomplete, or has unknown keys."""
+    """A configuration the commands cannot run: malformed, incomplete, out
+    of its domain, over the row cap, or with a wall that has no finite,
+    positive kinetic scale or file names that collide."""

@@ -68,6 +68,12 @@ __all__ = [
 # that accumulated global error stays inside the advertised bounds.
 _SOLVER_MARGIN = 10.0
 
+# The late-time window of the dilution checks: `fit_scaling` fits the last
+# FIT_TAIL_FRACTION of the rows, `scaling_slope` the rows where a has grown
+# by at least SLOPE_MIN_GROWTH over a(0).
+FIT_TAIL_FRACTION = 0.5
+SLOPE_MIN_GROWTH = 2.0
+
 
 @dataclass(frozen=True)
 class DeSitter:
@@ -331,8 +337,8 @@ class ScalingFit(NamedTuple):
     max_residual: float
 
 
-def fit_scaling(trajectory: Trajectory, tail_fraction: float = 0.5) -> ScalingFit:
-    """Fit the scaling form to the tail of a trajectory.
+def fit_scaling(trajectory: Trajectory) -> ScalingFit:
+    """Fit the scaling form to the last FIT_TAIL_FRACTION of a trajectory.
 
     The slope is held fixed at -3; only the amplitude is free, so the
     least-squares solution is the mean of log(X - X0) + 3 log(a/a1) over
@@ -341,15 +347,13 @@ def fit_scaling(trajectory: Trajectory, tail_fraction: float = 0.5) -> ScalingFi
     returned pair reproducible.)  max_residual is the worst relative
     deviation of X - X0 from the fitted curve.
 
-    Raises FitDomain if any tail row has X <= X0, and ValueError if the
-    tail holds fewer than 10 rows.
+    Raises FitDomain if the tail holds fewer than 10 rows or any tail row
+    has X <= X0.
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     n = len(trajectory)
-    n_tail = int(round(tail_fraction * n))
+    n_tail = int(round(FIT_TAIL_FRACTION * n))
     if n_tail < 10:
-        raise ValueError(
+        raise FitDomain(
             f"need at least 10 rows in the fit tail, got {n_tail} "
             f"(trajectory has {n} rows)")
     a = trajectory.a[n - n_tail:]
@@ -366,16 +370,16 @@ def fit_scaling(trajectory: Trajectory, tail_fraction: float = 0.5) -> ScalingFi
     return ScalingFit(eps1=eps1, a1=a1, max_residual=max_residual)
 
 
-def scaling_slope(trajectory: Trajectory, min_growth: float = 2.0) -> float:
+def scaling_slope(trajectory: Trajectory) -> float:
     """Free log-log slope of (X - X0) against a, restricted to rows where
-    a has grown by at least `min_growth` over a(0).  The dilution law
+    a has grown by at least SLOPE_MIN_GROWTH over a(0).  The dilution law
     predicts -3 once transients have cleared."""
     a0 = trajectory.a[0]
-    mask = trajectory.a >= min_growth * a0
+    mask = trajectory.a >= SLOPE_MIN_GROWTH * a0
     dev = trajectory.X[mask] - trajectory.model.X0
     if dev.size < 2:
         raise FitDomain(
-            f"fewer than 2 rows with a >= {min_growth} * a(0); "
+            f"fewer than 2 rows with a >= {SLOPE_MIN_GROWTH} * a(0); "
             "integrate longer before asking for a slope")
     if np.any(dev <= 0.0):
         raise FitDomain("slope window contains rows with X <= X0")

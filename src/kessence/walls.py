@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidGrid
+from .errors import InvalidGrid
 
 PROFILE_AMPLITUDE = math.pi  # fixed: ties the bump height to ~ 2*pi
 
@@ -91,21 +91,8 @@ class DerivativeCheck(NamedTuple):
     abs_error: float
 
 
-def sample(profile: WallProfile, x_min: float, x_max: float,
-           n_points: int) -> ProfileSample:
-    """Sample phi, dphi/dx and X_mag on a uniform grid including endpoints."""
-    if not x_min < x_max:
-        raise InvalidGrid(f"x_min={x_min} must be < x_max={x_max}")
-    if n_points < 2:
-        raise InvalidGrid(f"n_points={n_points} must be >= 2")
-    x = np.linspace(x_min, x_max, n_points)
-    dphi = profile.dphi_dx(x)
-    return ProfileSample(x=x, phi=profile.phi(x), dphi_dx=dphi,
-                         X_mag=0.5 * dphi * dphi)
-
-
 def default_grid(profile: WallProfile) -> tuple[float, float, float]:
-    """Default sharpness grid: [-2L, 2L] at spacing min(1/(10 b), L/200).
+    """The sampling grid: [-2L, 2L] at spacing min(1/(10 b), L/200).
 
     Resolves both the wall thickness (1/b) and the separation (L).
     """
@@ -113,36 +100,22 @@ def default_grid(profile: WallProfile) -> tuple[float, float, float]:
     return -2.0 * profile.L, 2.0 * profile.L, spacing
 
 
-def sample_grid(profile: WallProfile, x_min: float | None = None,
-                x_max: float | None = None,
-                spacing: float | None = None) -> ProfileSample:
-    """Sample on [x_min, x_max] at `spacing` or just under it.
+def sample(profile: WallProfile) -> ProfileSample:
+    """Sample phi, dphi/dx and X_mag on the profile's `default_grid`.
 
     The grid takes ceil((x_max - x_min) / spacing) equal intervals, so both
-    ends are sample points; omitted arguments come from `default_grid`.
-    The grid must resolve the wall: spacing <= 1/(10 b).
+    ends are sample points and the spacing is at most the grid's.
     """
-    d_min, d_max, d_spacing = default_grid(profile)
-    if x_min is None:
-        x_min = d_min
-    if x_max is None:
-        x_max = d_max
-    if spacing is None:
-        spacing = d_spacing
-    if not x_min < x_max:
-        raise InvalidGrid(f"x_min={x_min} must be < x_max={x_max}")
-    if spacing > 1.0 / (10.0 * profile.b):
-        raise GridTooCoarse(
-            f"spacing={spacing} exceeds 1/(10 b)={1.0 / (10.0 * profile.b)}")
-    n = int(math.ceil((x_max - x_min) / spacing)) + 1
-    return sample(profile, x_min, x_max, n)
+    x_min, x_max, spacing = default_grid(profile)
+    x = np.linspace(x_min, x_max, int(math.ceil((x_max - x_min) / spacing)) + 1)
+    dphi = profile.dphi_dx(x)
+    return ProfileSample(x=x, phi=profile.phi(x), dphi_dx=dphi,
+                         X_mag=0.5 * dphi * dphi)
 
 
-def sharpness(profile: WallProfile, x_min: float | None = None,
-              x_max: float | None = None,
-              spacing: float | None = None) -> SharpnessReport:
-    """`sample_sharpness` of the `sample_grid` sample with these arguments."""
-    return sample_sharpness(sample_grid(profile, x_min, x_max, spacing))
+def sharpness(profile: WallProfile) -> SharpnessReport:
+    """`sample_sharpness` of the profile's `sample`."""
+    return sample_sharpness(sample(profile))
 
 
 def sample_sharpness(s: ProfileSample) -> SharpnessReport:

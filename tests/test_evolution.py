@@ -299,9 +299,10 @@ def test_fit_recovers_synthetic_scaling_law():
     X = X0 * (1.0 + eps1 * (a[0] / a) ** 3)
     traj = Trajectory.build(REF, t, a, np.zeros_like(t), np.sqrt(2.0 * X),
                             X=X)
-    fit = fit_scaling(traj, tail_fraction=1.0)
-    assert fit.a1 == 1.0
-    assert fit.eps1 == pytest.approx(eps1, rel=1e-10)
+    fit = fit_scaling(traj)
+    # the tail is the last 50 rows; a1 is its first sample
+    assert fit.a1 == a[51]
+    assert fit.eps1 == pytest.approx(eps1 * (a[0] / a[51]) ** 3, rel=1e-10)
     assert fit.max_residual <= 1e-9
 
 
@@ -325,17 +326,11 @@ def test_fit_consistent_with_pointwise_cs2():
 
 
 def test_fit_validation():
-    traj = _reference_run()
-    with pytest.raises(ValueError):
-        fit_scaling(traj, tail_fraction=0.0)
-    with pytest.raises(ValueError):
-        fit_scaling(traj, tail_fraction=1.5)
+    # 12 rows leave a 6-row tail, under the 10 rows the fit needs
     short = evolve_kinetic_only(REF, BG, initial_state(X=1.05e3), 1.0,
                                 StepControl(n_output=12))
-    with pytest.raises(ValueError):
-        fit_scaling(short, tail_fraction=0.5)
-    # tail_fraction=1.0 over those same 12 rows is allowed
-    fit_scaling(short, tail_fraction=1.0)
+    with pytest.raises(FitDomain, match="got 6"):
+        fit_scaling(short)
 
 
 def test_fit_rejects_tail_at_or_below_extremum():

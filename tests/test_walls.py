@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kessence.errors import GridTooCoarse, InvalidGrid
+from kessence.errors import InvalidGrid
 from kessence.walls import (
+    ProfileSample,
     WallProfile,
     check_derivative,
     default_grid,
     sample,
-    sample_grid,
     sample_sharpness,
     sharpness,
 )
@@ -78,19 +78,12 @@ def test_no_overflow_for_steep_walls():
 
 def test_sample_matches_pointwise_evaluation():
     p = WallProfile(b=2.5, L=3.0)
-    s = sample(p, -6.0, 6.0, 301)
-    assert s.x[0] == -6.0 and s.x[-1] == 6.0 and len(s.x) == 301
+    s = sample(p)
+    # [-2L, 2L] at spacing L/200, which binds over 1/(10 b) here
+    assert s.x[0] == -6.0 and s.x[-1] == 6.0 and len(s.x) == 801
     assert np.array_equal(s.phi, p.phi(s.x))
     assert np.array_equal(s.dphi_dx, p.dphi_dx(s.x))
     assert np.array_equal(s.X_mag, 0.5 * s.dphi_dx * s.dphi_dx)
-
-
-def test_sample_validation():
-    p = WallProfile(b=1.0, L=1.0)
-    with pytest.raises(InvalidGrid):
-        sample(p, 2.0, -2.0, 100)
-    with pytest.raises(InvalidGrid):
-        sample(p, -2.0, 2.0, 1)
 
 
 def test_default_grid_resolves_wall():
@@ -145,23 +138,17 @@ def test_sharpness_width_tracks_inverse_steepness():
     assert max(scaled) / min(scaled) < 1.02
 
 
-def test_sharpness_grid_guards():
-    p = WallProfile(b=10.0, L=9.0)
-    with pytest.raises(GridTooCoarse):
-        sharpness(p, spacing=0.2)
-    with pytest.raises(InvalidGrid):
-        sharpness(p, x_min=1.0, x_max=5.0)
-    with pytest.raises(InvalidGrid):
-        sharpness(p, x_min=3.0, x_max=-3.0)
-
-
 def test_sharpness_of_a_written_sample():
     p = WallProfile(b=10.0, L=3.0)
-    s = sample_grid(p)
+    s = sample(p)
     assert s.x.size == 400 * 3 + 1  # [-2L, 2L] at spacing 1/(10 b)
     assert sample_sharpness(s) == sharpness(p)
+    # a sample built by hand must straddle x = 0
+    right = s.x > 0.0
+    half = ProfileSample(x=s.x[right], phi=s.phi[right],
+                         dphi_dx=s.dphi_dx[right], X_mag=s.X_mag[right])
     with pytest.raises(InvalidGrid):
-        sample_sharpness(sample(p, 0.5, 2.0, 100))
+        sample_sharpness(half)
 
 
 @settings(max_examples=40)
