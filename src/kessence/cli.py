@@ -27,6 +27,7 @@ from .config import (
     MAX_ROWS,
     PRESET_NAMES,
     RunConfig,
+    _invalid,
     load_config,
     preset_config,
 )
@@ -101,20 +102,10 @@ def _check_rows(table: str, rows: int) -> None:
             f"MAX_ROWS={MAX_ROWS}")
 
 
-def _kinetic_scale(b: float, L: float) -> float:
-    """X_mag(L/2), the kinetic scale of the wall (b, L), which must be > 0.
-
-    (pi b)^2 must be finite too: |dphi/dx| <= pi b, so then every sampled
-    X_mag and every trapezoid pair sum of X_mag stays finite.
-    """
-    steep = math.pi * b
-    if steep * steep < math.inf:
-        X_est = float(WallProfile(b=b, L=L).kinetic_magnitude(L / 2.0))
-        if X_est > 0.0:
-            return X_est
-    raise ConfigError(
-        f"the wall b={b!r}, L={L!r} has no usable kinetic scale: "
-        "X_mag(L/2) must be > 0 and (pi b)^2 finite")
+def _walls(b_vals, L_vals) -> list:
+    """The walls of the (b, L) grid, b-major; an invalid one is a ConfigError."""
+    with _invalid("wall"):
+        return [WallProfile(b=b, L=L) for b in b_vals for L in L_vals]
 
 
 def _scan_values(scan: dict, key: str) -> np.ndarray:
@@ -197,20 +188,12 @@ def run_wall(config: RunConfig):
     b_vals = _scan_values(scan, "b").tolist() if "b" in scan else [config.wall.b]
     L_vals = _scan_values(scan, "L").tolist() if "L" in scan else [config.wall.L]
     _check_rows("the sharpness table", len(b_vals) * len(L_vals))
-    # The last wall, with the largest b and L, has the most profile rows:
-    # ceil(width / spacing) + 1, checked without the division because the
-    # spacing of a very steep wall underflows to 0.
-    x_min, x_max, spacing = default_grid(WallProfile(b=b_vals[-1], L=L_vals[-1]))
-    if not x_max - x_min <= (MAX_ROWS - 1) * spacing:
-        raise ConfigError(
-            f"the wall b={b_vals[-1]!r}, L={L_vals[-1]!r} would sample more "
-            f"than the row cap MAX_ROWS={MAX_ROWS} points per profile")
-
-    pairs = [(b, L) for b in b_vals for L in L_vals]
-    for b, L in pairs:
-        _kinetic_scale(b, L)
+    walls = _walls(b_vals, L_vals)
+    with _invalid("wall"):
+        for wall in walls:
+            default_grid(wall)
     stem = config.output.stem
-    profiles = [f"{stem}_profile_b{b:g}_L{L:g}.csv" for b, L in pairs]
+    profiles = [f"{stem}_profile_b{w.b:g}_L{w.L:g}.csv" for w in walls]
     seen = set()
     for name in profiles:
         if name in seen:
@@ -220,17 +203,17 @@ def run_wall(config: RunConfig):
         seen.add(name)
 
     sharp_rows = []
-    for (b, L), name in zip(pairs, profiles):
-        s = sample(WallProfile(b=b, L=L))
+    for wall, name in zip(walls, profiles):
+        s = sample(wall)
         yield name, ["x,phi,dphi_dx,X_mag"], [s.x, s.phi, s.dphi_dx, s.X_mag]
         rep = sample_sharpness(s)
-        sharp_rows.append((b, L, rep.peak_value, rep.peak_positions[1],
+        sharp_rows.append((wall.b, wall.L, rep.peak_value, rep.peak_positions[1],
                            rep.half_width, rep.integral))
 
     sharp_name = f"{stem}_sharpness.csv"
     yield (sharp_name, ["b,L,peak_value,peak_position,half_width,integral"],
            list(zip(*sharp_rows)))
-    summary = ["wall summary", f"combinations: {len(pairs)}",
+    summary = ["wall summary", f"combinations: {len(walls)}",
                "profile files:"]
     summary.extend(f"  {name}" for name in profiles)
     summary.append(f"sharpness table: {sharp_name}")
@@ -325,11 +308,9 @@ def run_regimes(config: RunConfig):
                 (len(b_vals) * len(L_vals) + len(X0_vals))
                 * eps_vals.size * F2_vals.size)
 
-    # One (b, L, X0) block per wall or direct X0 value; b and L are NAN
-    # for direct X0 scans.  A wall fixes X0 as its spike height at the wall
-    # centre, evaluated one wall at a time because numpy's vectorised exp
-    # may differ from the scalar one in the last bit.
-    blocks = [(b, L, _kinetic_scale(b, L)) for b in b_vals for L in L_vals]
+    # One (b, L, X0) block per wall (X0 its scalar kinetic scale: a vectorised
+    # exp may differ in the last bit) or direct X0 value (b and L NAN).
+    blocks = [(w.b, w.L, w.kinetic_scale) for w in _walls(b_vals, L_vals)]
     blocks.extend((math.nan, math.nan, X0) for X0 in X0_vals)
 
     # Rows run block -> eps0 -> F2, the order of nested loops over them.

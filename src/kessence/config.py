@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import MAX_ROWS, ConfigError
 from .evolution import (
     BackgroundSpec,
     DeSitter,
@@ -45,11 +45,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-# The most rows one output table may hold: ten times the largest benchmark
-# table.  Scan counts and n_output are held to it here; the commands hold
-# the sizes they derive from several ranges to it before computing them.
-MAX_ROWS = 1_000_000
-
 
 @dataclass(frozen=True)
 class ScanRange:
@@ -62,8 +57,11 @@ class ScanRange:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.min > self.max:
-            raise ValueError(f"min={self.min} exceeds max={self.max}")
+        # np.linspace steps over max - min; past half the largest float a
+        # step overflows
+        if not 0.0 <= self.max - self.min <= sys.float_info.max / 2:
+            raise ValueError(f"need min <= max and max - min at most half the "
+                             f"largest float, got [{self.min}, {self.max}]")
 
 
 # Scan names the commands read, with the domain of their values.  A range

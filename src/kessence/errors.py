@@ -1,10 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types and the row cap shared across the package.
 
 The closed forms raise DegenerateDenominator at a pole, or with
 masked=True return NaN there plus the pole mask, so the caller decides
 whether a degenerate point is fatal (library use) or just a NAN cell in a
 CSV row (the CLI scans).
 """
+
+# The most rows one output table may hold, ten times the largest benchmark
+# table: config, the commands and walls.default_grid hold sizes to it.
+MAX_ROWS = 1_000_000
 
 
 class KessenceError(Exception):
@@ -33,5 +37,5 @@ class FitDomain(KessenceError):
 
 class ConfigError(KessenceError):
     """A configuration the commands cannot run: malformed, incomplete, out
-    of its domain, over the row cap, or with a wall that has no finite,
-    positive kinetic scale or file names that collide."""
+    of its domain (a wall WallProfile rejects among them), over the row
+    cap, or with file names that collide."""

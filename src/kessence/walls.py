@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import MAX_ROWS, InvalidGrid
 
 PROFILE_AMPLITUDE = math.pi  # fixed: ties the bump height to ~ 2*pi
 
@@ -39,7 +39,8 @@ def _sech2(z):
 
 @dataclass(frozen=True)
 class WallProfile:
-    """Wall pair geometry: steepness b > 0, separation L > 0."""
+    """Wall pair geometry: steepness b > 0, separation L > 0, with a
+    kinetic scale X_mag(L/2) > 0 and a finite spike bound (pi b)^2."""
 
     b: float
     L: float
@@ -49,6 +50,16 @@ class WallProfile:
             raise ValueError("wall steepness b must be > 0")
         if not self.L > 0:
             raise ValueError("wall separation L must be > 0")
+        # (pi b)^2 >= 2 X_mag keeps X_mag pair sums finite; Python floats don't warn
+        steep = math.pi * float(self.b)
+        if not (steep * steep < math.inf and self.kinetic_scale > 0.0):
+            raise ValueError(f"the wall {self} has no usable kinetic scale: "
+                             "X_mag(L/2) must be > 0 and (pi b)^2 finite")
+
+    @property
+    def kinetic_scale(self) -> float:
+        """X_mag(L/2), the spike height at the wall centre."""
+        return float(self.kinetic_magnitude(self.L / 2.0))
 
     def phi(self, x):
         """Field value; even in x, phi(0) = 2 pi tanh(b L / 2)."""
@@ -94,9 +105,14 @@ class DerivativeCheck(NamedTuple):
 def default_grid(profile: WallProfile) -> tuple[float, float, float]:
     """The sampling grid: [-2L, 2L] at spacing min(1/(10 b), L/200).
 
-    Resolves both the wall thickness (1/b) and the separation (L).
+    Resolves both the wall thickness (1/b) and the separation (L).  Raises
+    ValueError when the grid would hold more than MAX_ROWS points, so b L
+    may be at most about 25 000.
     """
     spacing = min(1.0 / (10.0 * profile.b), profile.L / 200.0)
+    # ceil(4L / spacing) + 1 points, counted without the division that overflows
+    if not 4.0 * profile.L <= (MAX_ROWS - 1) * spacing:
+        raise ValueError(f"{profile} would sample over MAX_ROWS={MAX_ROWS} points")
     return -2.0 * profile.L, 2.0 * profile.L, spacing
 
 
@@ -104,7 +120,8 @@ def sample(profile: WallProfile) -> ProfileSample:
     """Sample phi, dphi/dx and X_mag on the profile's `default_grid`.
 
     The grid takes ceil((x_max - x_min) / spacing) equal intervals, so both
-    ends are sample points and the spacing is at most the grid's.
+    ends are sample points and the spacing is at most the grid's; a grid
+    over MAX_ROWS points raises ValueError before anything is allocated.
     """
     x_min, x_max, spacing = default_grid(profile)
     x = np.linspace(x_min, x_max, int(math.ceil((x_max - x_min) / spacing)) + 1)

@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -235,6 +236,9 @@ OUT_OF_DOMAIN = [
     ({"evolve": {**_EVOLVE, "X": 1e308}}, "invalid evolve: X = phidot"),
     ({"background": {"kind": "powerlaw", "p": 0.5},
       "evolve": {**_EVOLVE, "t_start": 0.0}}, "invalid evolve: PowerLaw"),
+    # a wall WallProfile rejects, read by no command of this config
+    ({"wall": {"b": 1e308, "L": 9.0}}, "invalid wall: the wall .* has no usable"),
+    ({"wall": {"b": 1e-300, "L": 1e5}}, "invalid wall: the wall .* has no usable"),
     ({"scan": {"b": {"min": -1.0, "max": 1.0, "count": 3}}},
      r"invalid scan\.b: values must be > 0"),
     ({"scan": {"L": {"min": 0.0, "max": 1.0, "count": 3}}},
@@ -251,6 +255,9 @@ OUT_OF_DOMAIN = [
      "must be finite"),
     ({"scan": {"X": {"min": 1.0, "max": math.inf, "count": 2}}},
      "must be finite"),
+    # np.linspace would overflow stepping over a wider range
+    ({"scan": {"X": {"min": -1e308, "max": 1e308, "count": 3}}},
+     r"invalid scan\.X: need min <= max and max - min at most half"),
     ({"evolve": {**_EVOLVE, "t_end": math.inf}}, "must be finite"),
     ({"model": {"F2": 1.0, "X0": 10 ** 400}}, "must be finite"),
     ({"output": {"stem": "../x"}}, "bare file name"),
@@ -273,6 +280,10 @@ def test_scan_range_validation():
         ScanRange(1.0, 2.0, 0)
     with pytest.raises(ValueError):
         ScanRange(3.0, 2.0, 2)
+    half = sys.float_info.max / 2
+    with pytest.raises(ValueError):
+        ScanRange(-half, math.nextafter(half, math.inf), 2)
+    assert ScanRange(-half / 2, half / 2, 7).max == half / 2
     r = ScanRange(2.0, 2.0, 1)
     assert (r.min, r.max, r.count) == (2.0, 2.0, 1)
 

@@ -1,6 +1,7 @@
 """Tests for the wall-pair profile and its delta-sequence diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,10 +97,46 @@ def test_default_grid_resolves_wall():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        WallProfile(b=0.0, L=1.0)
-    with pytest.raises(ValueError):
-        WallProfile(b=1.0, L=-3.0)
+    for b, L in [
+        (0.0, 1.0),
+        (1.0, -3.0),
+        # (pi b)^2 overflows, whether X_mag(L/2) does (b L = 1e4) or not
+        (1e308, 1.0),
+        (1e200, 1e-196),
+        # X_mag(L/2) is 0: L/2 rounds to 0, the sech^2 terms cancel, or
+        # X_mag underflows
+        (1.0, 5e-324),
+        (1.0, 1e-20),
+        (1e-300, 1e5),
+    ]:
+        # a ValueError, not a numpy RuntimeWarning (which the suite makes
+        # an error too)
+        with pytest.raises(ValueError):
+            WallProfile(b=b, L=L)
+
+
+def test_kinetic_scale_is_spike_height_at_wall_centre():
+    p = WallProfile(b=10.0, L=9.0)
+    assert p.kinetic_scale == float(p.kinetic_magnitude(4.5))
+    assert p.kinetic_scale == pytest.approx(50.0 * math.pi ** 2, rel=1e-12)
+    # the largest b whose (pi b)^2 is finite
+    assert WallProfile(b=4.2678e153, L=1e-154).kinetic_scale < math.inf
+
+
+@pytest.mark.parametrize("b,L", [(1e10, 9.0), (1.0, 1e308)])
+def test_grid_over_row_cap_is_refused(b, L):
+    # 3.6e12 points at b L = 9e10; at L = 1e308 the span 4L overflows
+    p = WallProfile(b=b, L=L)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_ROWS"):
+            default_grid(p)
+        with pytest.raises(ValueError, match="MAX_ROWS"):
+            sample(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
