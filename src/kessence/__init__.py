@@ -29,7 +29,6 @@ from .model import (
     w_thinwall_approx,
     cs2_thinwall_approx,
     scaling_cs2_of_a,
-    classify_regime,
     classify_regimes,
     guarded_div,
 )
@@ -40,6 +39,7 @@ from .walls import (
     DerivativeCheck,
     sample,
     default_grid,
+    grid_points,
     sharpness,
     sample_sharpness,
     check_derivative,

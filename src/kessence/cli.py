@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .evolution import (
 )
 from .model import (
     KineticModel,
-    classify_regime,
     classify_regimes,
     cs2_thinwall_approx,
     eos_w,
@@ -51,7 +51,7 @@ from .model import (
     w_perturbed_exact,
     w_thinwall_approx,
 )
-from .walls import WallProfile, default_grid, sample, sample_sharpness
+from .walls import WallProfile, grid_points, sample, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
@@ -114,8 +114,8 @@ def _scan_values(scan: dict, key: str) -> np.ndarray:
 
 
 def _model_line(m: KineticModel) -> str:
-    return (f"model: F2={_fmt(m.F2)} X0={_fmt(m.X0)} "
-            f"eps0={_fmt(m.eps0)} F0={_fmt(m.F0)}")
+    return "model: " + " ".join(f"{f.name}={_fmt(getattr(m, f.name))}"
+                                for f in fields(m))
 
 
 def _notes(n_rows: int, rules) -> np.ndarray:
@@ -190,8 +190,8 @@ def run_wall(config: RunConfig):
     _check_rows("the sharpness table", len(b_vals) * len(L_vals))
     walls = _walls(b_vals, L_vals)
     with _invalid("wall"):
-        for wall in walls:
-            default_grid(wall)
+        rows = sum(grid_points(wall) for wall in walls)
+    _check_rows("the profile files together", rows)
     stem = config.output.stem
     profiles = [f"{stem}_profile_b{w.b:g}_L{w.L:g}.csv" for w in walls]
     seen = set()
@@ -341,7 +341,7 @@ def run_regimes(config: RunConfig):
         report.append(
             f"  at b={_fmt(b[i])} L={_fmt(L[i])} X0={_fmt(X0[i])} "
             f"eps0={_fmt(eps0[i])} F2={_fmt(F2[i])}")
-        exact_label = classify_regime(w_e[i], cs2_e[i]).value
+        exact_label = classify_regimes(w_e[i], cs2_e[i])
         report.append(
             f"  exact columns classify as {exact_label}; "
             f"approx columns as {label[i]}")

@@ -1,13 +1,16 @@
 """Run configuration: strict JSON parsing, serialization, presets.
 
-The file format is plain JSON with a fixed schema.  Parsing is strict:
+The file format is plain JSON whose schema is the domain classes: the
+keys of a block are the fields of the class it builds (KineticModel,
+WallProfile, ScanRange, OutputSpec, the potential or background class
+its `kind` names, StepControl inside `evolve`), required when the field
+has no default, each read as its field's type.  Parsing is strict:
 unknown keys raise ConfigError, as do missing required keys, values of
-the wrong type, non-finite numbers and out-of-domain values.  Parsing
-builds the domain objects the commands run (KineticModel, WallProfile,
-FieldState, StepControl, ...), so every domain check happens here, once,
-and a parsed RunConfig holds only values that passed it.
-serialize() emits keys in a fixed order so that parse(serialize(c)) == c
-and repeated serializations are byte-identical.
+the wrong type, non-finite numbers and out-of-domain values, which are
+the classes' own ValueErrors; so a parsed RunConfig holds only values
+that passed every domain check.  serialize_config() writes each block's
+fields in field order, so parse(serialize(c)) == c and repeated
+serializations are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from typing import Optional, get_type_hints
 
 from .errors import MAX_ROWS, ConfigError
 from .evolution import (
@@ -91,8 +95,16 @@ class EvolveSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
+    """Where a run writes: files named <stem>_<suffix> inside `directory`."""
+
     directory: str = "out"
     stem: str = "run"
+
+    def __post_init__(self):
+        # A bare file name keeps every output file inside the directory.
+        if (self.stem in ("", ".", "..") or os.sep in self.stem
+                or (os.altsep and os.altsep in self.stem)):
+            raise ValueError(f"stem must be a bare file name, got {self.stem!r}")
 
 
 @dataclass(frozen=True)
@@ -160,44 +172,44 @@ def _boolean(obj: dict, key: str, where: str) -> bool:
     return v
 
 
-def _parse_model(obj) -> KineticModel:
-    _require_keys(obj, "model", ("F2", "X0"), ("eps0", "F0"))
-    with _invalid("model"):
-        return KineticModel(**{key: _number(obj, key, "model") for key in obj})
+# The kind names of the potential and background blocks, with their classes.
+_KINDS = {
+    "potential": {"constant": ConstantPotential, "quadratic": QuadraticPotential},
+    "background": {"desitter": DeSitter, "powerlaw": PowerLaw},
+}
+_KIND_OF = {cls: kind for kinds in _KINDS.values() for kind, cls in kinds.items()}
 
 
-def _parse_potential(obj) -> PotentialSpec:
-    _require_keys(obj, "potential", ("kind",),
-                  ("V0", "m2"))
-    kind = _string(obj, "kind", "potential")
-    with _invalid("potential"):
-        if kind == "constant":
-            _require_keys(obj, "potential", ("kind", "V0"))
-            return ConstantPotential(V0=_number(obj, "V0", "potential"))
-        if kind == "quadratic":
-            _require_keys(obj, "potential", ("kind", "m2"))
-            return QuadraticPotential(m2=_number(obj, "m2", "potential"))
-    raise ConfigError(f"potential.kind must be 'constant' or 'quadratic', got {kind!r}")
+@cache
+def _schema(cls) -> tuple:
+    """The reader of each key of a `cls` block, in field order (a field's
+    type picks its reader), and the required keys: fields without a default."""
+    read_as = {float: _number, int: _row_count, str: _string}
+    types = get_type_hints(cls)
+    return ({f.name: read_as[types[f.name]] for f in fields(cls)},
+            tuple(f.name for f in fields(cls) if f.default is MISSING))
 
 
-def _parse_background(obj) -> BackgroundSpec:
-    _require_keys(obj, "background", ("kind",), ("H", "p", "t0"))
-    kind = _string(obj, "kind", "background")
-    with _invalid("background"):
-        if kind == "desitter":
-            _require_keys(obj, "background", ("kind", "H"))
-            return DeSitter(H=_number(obj, "H", "background"))
-        if kind == "powerlaw":
-            _require_keys(obj, "background", ("kind", "p"), ("t0",))
-            return PowerLaw(**{key: _number(obj, key, "background")
-                               for key in ("p", "t0") if key in obj})
-    raise ConfigError(f"background.kind must be 'desitter' or 'powerlaw', got {kind!r}")
+def _block(obj, where: str, cls):
+    """The `cls` that a block whose keys are the fields of `cls` describes."""
+    readers, required = _schema(cls)
+    _require_keys(obj, where, required, readers)
+    with _invalid(where):
+        return cls(**{key: readers[key](obj, key, where) for key in obj})
 
 
-def _parse_wall(obj) -> WallProfile:
-    _require_keys(obj, "wall", ("b", "L"))
-    with _invalid("wall"):
-        return WallProfile(b=_number(obj, "b", "wall"), L=_number(obj, "L", "wall"))
+def _kind_block(obj, where: str):
+    """A potential or background block: `kind` picks its class from
+    _KINDS, and its other keys are the fields of that class."""
+    kinds = _KINDS[where]
+    _require_keys(obj, where, ("kind",),
+                  [key for cls in kinds.values() for key in _schema(cls)[0]])
+    kind = _string(obj, "kind", where)
+    if kind not in kinds:
+        raise ConfigError(f"{where}.kind must be "
+                          f"{' or '.join(map(repr, kinds))}, got {kind!r}")
+    return _block({key: v for key, v in obj.items() if key != "kind"}, where,
+                  kinds[kind])
 
 
 def _parse_scan(obj) -> dict:
@@ -209,11 +221,7 @@ def _parse_scan(obj) -> dict:
         if name not in _SCAN_DOMAINS:
             raise ConfigError(f"unknown scan name {name!r}; known names: "
                               f"{', '.join(_SCAN_DOMAINS)}")
-        _require_keys(entry, where, ("min", "max", "count"))
-        with _invalid(where):
-            r = ScanRange(min=_number(entry, "min", where),
-                          max=_number(entry, "max", where),
-                          count=_row_count(entry, "count", where))
+        r = _block(entry, where, ScanRange)
         in_domain, rule = _SCAN_DOMAINS[name]
         if not in_domain(r.min):
             raise ConfigError(f"invalid {where}: values must be {rule}, "
@@ -223,41 +231,26 @@ def _parse_scan(obj) -> dict:
 
 
 def _parse_evolve(obj, background: BackgroundSpec) -> EvolveSpec:
+    # The state keys are initial_state's arguments, renamed; the step
+    # control keys are the fields of StepControl.
+    control_keys = _schema(StepControl)[0]
     _require_keys(obj, "evolve", ("t_end",),
-                  ("phi", "X", "phidot", "t_start", "a_start",
-                   "rel_tol", "abs_tol", "n_output", "kinetic_only"))
+                  ("phi", "X", "phidot", "t_start", "a_start", "kinetic_only",
+                   *control_keys))
     t_end = _number(obj, "t_end", "evolve")
     state = {arg: _number(obj, key, "evolve")
              for key, arg in (("phi", "phi"), ("X", "X"), ("phidot", "phidot"),
                               ("t_start", "t"), ("a_start", "a"))
              if key in obj}
-    control = {key: _number(obj, key, "evolve")
-               for key in ("rel_tol", "abs_tol") if key in obj}
-    if "n_output" in obj:
-        control["n_output"] = _row_count(obj, "n_output", "evolve")
+    control = _block({key: obj[key] for key in control_keys if key in obj},
+                     "evolve", StepControl)
     kinetic_only = (_boolean(obj, "kinetic_only", "evolve")
                     if "kinetic_only" in obj else True)
     with _invalid("evolve"):
         init = initial_state(**state)
-        control = StepControl(**control)
         _check_window(background, init, t_end, control.n_output)
         return EvolveSpec(t_end=t_end, init=init, control=control,
                           kinetic_only=kinetic_only)
-
-
-def _parse_output(obj) -> OutputSpec:
-    _require_keys(obj, "output", (), ("directory", "stem"))
-    kwargs = {}
-    if "directory" in obj:
-        kwargs["directory"] = _string(obj, "directory", "output")
-    if "stem" in obj:
-        stem = kwargs["stem"] = _string(obj, "stem", "output")
-        # Output names are <stem>_<suffix> inside the output directory.
-        if (stem in ("", ".", "..") or os.sep in stem
-                or (os.altsep and os.altsep in stem)):
-            raise ConfigError(
-                f"output.stem must be a bare file name, got {stem!r}")
-    return OutputSpec(**kwargs)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -268,16 +261,17 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require_keys(root, "config", ("model", "potential", "background"),
                   ("wall", "scan", "evolve", "output"))
-    background = _parse_background(root["background"])
+    background = _kind_block(root["background"], "background")
     return RunConfig(
-        model=_parse_model(root["model"]),
-        potential=_parse_potential(root["potential"]),
+        model=_block(root["model"], "model", KineticModel),
+        potential=_kind_block(root["potential"], "potential"),
         background=background,
-        wall=_parse_wall(root["wall"]) if "wall" in root else None,
+        wall=_block(root["wall"], "wall", WallProfile) if "wall" in root else None,
         scan=_parse_scan(root["scan"]) if "scan" in root else None,
         evolve=(_parse_evolve(root["evolve"], background)
                 if "evolve" in root else None),
-        output=_parse_output(root["output"]) if "output" in root else OutputSpec(),
+        output=(_block(root["output"], "output", OutputSpec)
+                if "output" in root else OutputSpec()),
     )
 
 
@@ -290,45 +284,30 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def _model_dict(m: KineticModel) -> dict:
-    return {"F2": m.F2, "X0": m.X0, "eps0": m.eps0, "F0": m.F0}
-
-
-def _potential_dict(p: PotentialSpec) -> dict:
-    if isinstance(p, ConstantPotential):
-        return {"kind": "constant", "V0": p.V0}
-    return {"kind": "quadratic", "m2": p.m2}
-
-
-def _background_dict(b: BackgroundSpec) -> dict:
-    if isinstance(b, DeSitter):
-        return {"kind": "desitter", "H": b.H}
-    return {"kind": "powerlaw", "p": b.p, "t0": b.t0}
-
-
-def _evolve_dict(e: EvolveSpec) -> dict:
-    # The state is written as phidot, which an X-given config parsed to.
-    return {"t_end": e.t_end, "phi": e.init.phi, "phidot": e.init.phidot,
-            "t_start": e.init.t, "a_start": e.init.a,
-            "rel_tol": e.control.rel_tol, "abs_tol": e.control.abs_tol,
-            "n_output": e.control.n_output, "kinetic_only": e.kinetic_only}
+def _fields(obj) -> dict:
+    """The block of a domain object: `kind` first if its class has one,
+    then its fields in order."""
+    doc = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
+    doc.update((key, getattr(obj, key)) for key in _schema(type(obj))[0])
+    return doc
 
 
 def serialize_config(config: RunConfig) -> str:
-    doc = {
-        "model": _model_dict(config.model),
-        "potential": _potential_dict(config.potential),
-        "background": _background_dict(config.background),
-    }
+    doc = {"model": _fields(config.model),
+           "potential": _fields(config.potential),
+           "background": _fields(config.background)}
     if config.wall is not None:
-        doc["wall"] = {"b": config.wall.b, "L": config.wall.L}
+        doc["wall"] = _fields(config.wall)
     if config.scan is not None:
-        doc["scan"] = {name: {"min": r.min, "max": r.max, "count": r.count}
-                       for name, r in config.scan.items()}
-    if config.evolve is not None:
-        doc["evolve"] = _evolve_dict(config.evolve)
-    doc["output"] = {"directory": config.output.directory,
-                     "stem": config.output.stem}
+        doc["scan"] = {name: _fields(r) for name, r in config.scan.items()}
+    e = config.evolve
+    if e is not None:
+        # The state is written as phidot, which an X-given config parsed to.
+        doc["evolve"] = {"t_end": e.t_end, "phi": e.init.phi,
+                         "phidot": e.init.phidot, "t_start": e.init.t,
+                         "a_start": e.init.a, **_fields(e.control),
+                         "kinetic_only": e.kinetic_only}
+    doc["output"] = _fields(config.output)
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -7,7 +7,8 @@ CSV row (the CLI scans).
 """
 
 # The most rows one output table may hold, ten times the largest benchmark
-# table: config, the commands and walls.default_grid hold sizes to it.
+# table: config, the commands and walls.default_grid hold sizes to it, and
+# `wall` holds the profiles of one run to it together.
 MAX_ROWS = 1_000_000
 
 

@@ -343,8 +343,3 @@ def classify_regimes(w, cs2):
          RegimeLabel.DARK_ENERGY_MIX.value],
         RegimeLabel.UNCLASSIFIED.value)
 
-
-def classify_regime(w: float, cs2: float) -> RegimeLabel:
-    """Label one (w, cs2) pair with `classify_regimes`; total over all
-    inputs (NaN -> Unclassified)."""
-    return RegimeLabel(classify_regimes(float(w), float(cs2)).item())

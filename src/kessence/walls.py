@@ -116,15 +116,24 @@ def default_grid(profile: WallProfile) -> tuple[float, float, float]:
     return -2.0 * profile.L, 2.0 * profile.L, spacing
 
 
-def sample(profile: WallProfile) -> ProfileSample:
-    """Sample phi, dphi/dx and X_mag on the profile's `default_grid`.
+def grid_points(profile: WallProfile) -> int:
+    """The number of points `sample` takes on the profile's `default_grid`.
 
     The grid takes ceil((x_max - x_min) / spacing) equal intervals, so both
     ends are sample points and the spacing is at most the grid's; a grid
-    over MAX_ROWS points raises ValueError before anything is allocated.
+    over MAX_ROWS points raises ValueError.
     """
     x_min, x_max, spacing = default_grid(profile)
-    x = np.linspace(x_min, x_max, int(math.ceil((x_max - x_min) / spacing)) + 1)
+    return int(math.ceil((x_max - x_min) / spacing)) + 1
+
+
+def sample(profile: WallProfile) -> ProfileSample:
+    """Sample phi, dphi/dx and X_mag at the `grid_points` of the profile's
+    `default_grid`; a grid over MAX_ROWS points raises ValueError before
+    anything is allocated.
+    """
+    x_min, x_max, _ = default_grid(profile)
+    x = np.linspace(x_min, x_max, grid_points(profile))
     dphi = profile.dphi_dx(x)
     return ProfileSample(x=x, phi=profile.phi(x), dphi_dx=dphi,
                          X_mag=0.5 * dphi * dphi)

@@ -18,12 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kessence.cli import _fmt, main
-from kessence.config import MAX_ROWS, PRESET_NAMES, preset_config, serialize_config
-from kessence.errors import DegenerateDenominator
+from kessence.cli import _fmt, main, run_wall
+from kessence.config import (
+    MAX_ROWS,
+    PRESET_NAMES,
+    parse_config,
+    preset_config,
+    serialize_config,
+)
+from kessence.errors import ConfigError, DegenerateDenominator
 from kessence.model import (
     KineticModel,
-    classify_regime,
+    classify_regimes,
     cs2_thinwall_approx,
     eos_w,
     eval_F,
@@ -159,7 +165,7 @@ def _eos_row(m, X):
         notes.append("X < X0: perturbed closed forms need X >= X0")
     cells = [_fmt(v) for v in (X, eval_F(m, X), eval_F_X(m, X), w_e, cs2_e,
                                w_p, cs2_p)]
-    return ",".join(cells + [classify_regime(w_e, cs2_e).value,
+    return ",".join(cells + [classify_regimes(w_e, cs2_e).item(),
                              "; ".join(notes)])
 
 
@@ -171,7 +177,7 @@ def _regimes_row(b, L, X0, eps0, F2, F0):
     cs2_e = float(sound_speed_perturbed(m)) if eps0 > 0 else math.nan
     cs2_p = float(cs2_thinwall_approx(X0, eps0)) if eps0 > 0 else math.nan
     return [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p,
-            classify_regime(w_p, cs2_p).value]
+            classify_regimes(w_p, cs2_p).item()]
 
 
 def test_eos_scan_spot_check_against_library(tmp_path):
@@ -343,6 +349,11 @@ BAD_CONFIGS = [
                      "scan": {"b": _range(1.0, 2.0, 1001),
                               "L": _range(1.0, 2.0, 1000)}},
          "wall-sharpness-table-over-cap"),
+    # 28 profiles of about 36.5k rows each, 1 023 148 rows in all
+    _bad(2, "wall", {"wall": {"b": 100.0, "L": 9.0},
+                     "scan": {"b": _range(100.0, 100.0, 1),
+                              "L": _range(9.0, 9.27, 28)}},
+         "wall-profiles-total-over-cap"),
     # profile grids too fine: the spacing underflows to 0 at b = 1e308
     _bad(2, "wall", {"wall": {"b": 1e308, "L": 9.0}}, "wall-b-1e308"),
     _bad(2, "wall", {"wall": {"b": 1e10, "L": 9.0}}, "wall-profile-over-cap"),
@@ -390,11 +401,13 @@ def _fuzz_seeds():
     for name in PRESET_NAMES:
         doc = json.loads(serialize_config(preset_config(name)))
         seeds.extend((cmd, doc) for cmd in readers[name])
-    # Left out: with its b count cut to 1 or 2, wall-sharpness-table-over-cap
-    # is a valid run of 1000-2000 profile files, ~1e6 rows that take seconds.
+    # Left out: with its b count cut to 1, wall-sharpness-table-over-cap is
+    # a valid run of 1000 profile files, 0.8e6 rows that take seconds, and
+    # wall-profiles-total-over-cap is one with a lower L min or a lower L count.
     seeds.extend((p.values[1], p.values[2]) for p in BAD_CONFIGS
                  if p.values[1] in _FUZZ_COMMANDS
-                 and p.id != "wall-sharpness-table-over-cap")
+                 and p.id not in ("wall-sharpness-table-over-cap",
+                                  "wall-profiles-total-over-cap"))
     return seeds
 
 
@@ -454,6 +467,18 @@ def test_main_fuzz_exits_documented_and_writes_only_out(seed, mutations):
 # ---------------------------------------------------------------------------
 # wall
 # ---------------------------------------------------------------------------
+
+def test_wall_total_rows_cap_boundary():
+    """The profiles of one run may hold MAX_ROWS rows in all, checked
+    before the first file is yielded."""
+    doc = dict(BASE_DOC, wall={"b": 100.0, "L": 9.0},
+               scan={"b": _range(100.0, 100.0, 1), "L": _range(9.0, 9.27, 27)})
+    name, _, columns = next(run_wall(parse_config(json.dumps(doc))))
+    assert name == "run_profile_b100_L9.csv" and len(columns[0]) == 36001
+    doc["scan"]["L"]["count"] = 28
+    with pytest.raises(ConfigError, match="1023148 rows, over the row cap"):
+        next(run_wall(parse_config(json.dumps(doc))))
+
 
 def test_wall_figure2_trio(tmp_path):
     out = tmp_path / "o"

@@ -149,6 +149,14 @@ def test_unknown_keys_rejected_everywhere():
     doc = _doc()
     doc["scan"] = {"b": {"min": 1.0, "max": 2.0, "count": 3, "step": 0.1}}
     _expect_error(doc, "unknown key")
+    # one row per block class: the keys of a block are its class's fields
+    for block, entry in (
+            ("background", {"kind": "desitter", "H": 1.0, "t0": 1.0}),
+            ("background", {"kind": "powerlaw", "p": 0.5, "H": 1.0}),
+            ("potential", {"kind": "quadratic", "m2": 1.0, "V0": 1.0}),
+            ("wall", {"b": 2.0, "L": 1.0, "gamma": 3.0})):
+        _expect_error({**_doc(), block: entry},
+                      rf"unknown key\(s\) \['{list(entry)[-1]}'\] in {block}")
 
 
 def test_missing_keys_rejected():
@@ -164,6 +172,18 @@ def test_missing_keys_rejected():
     doc = _doc()
     doc["scan"] = {"b": {"min": 1.0, "max": 2.0}}
     _expect_error(doc, "missing key")
+    # one row per block class with a required field
+    for block, entry, key in (
+            ("background", {"kind": "desitter"}, "H"),
+            ("background", {"kind": "powerlaw", "t0": 2.0}, "p"),
+            ("potential", {"kind": "constant"}, "V0"),
+            ("potential", {"kind": "quadratic"}, "m2"),
+            ("model", {"F2": 1.0}, "X0"),
+            ("wall", {"b": 2.0}, "L"),
+            ("scan", {"b": {"min": 1.0, "max": 2.0}}, "count")):
+        where = "scan.b" if block == "scan" else block
+        _expect_error({**_doc(), block: entry},
+                      rf"missing key\(s\) \['{key}'\] in {where}")
 
 
 def test_type_errors_rejected():
@@ -286,6 +306,14 @@ def test_scan_range_validation():
     assert ScanRange(-half / 2, half / 2, 7).max == half / 2
     r = ScanRange(2.0, 2.0, 1)
     assert (r.min, r.max, r.count) == (2.0, 2.0, 1)
+
+
+def test_output_spec_stem_rule():
+    # the stem rule is OutputSpec's, so library callers get it too
+    for stem in ("../x", "a/b", "..", ".", ""):
+        with pytest.raises(ValueError, match="bare file name"):
+            OutputSpec(stem=stem)
+    assert OutputSpec(stem="case.7").stem == "case.7"
 
 
 def test_evolve_spec_validation():

@@ -22,7 +22,6 @@ from kessence.model import (
     RegimeLabel,
     ScalingSolution,
     W_BAND,
-    classify_regime,
     classify_regimes,
     cs2_thinwall_approx,
     density,
@@ -297,7 +296,7 @@ def test_potential_validation():
     (-1.0, math.nan, RegimeLabel.UNCLASSIFIED),
 ])
 def test_classify_table(w, cs2, label):
-    assert classify_regime(w, cs2) is label
+    assert classify_regimes(w, cs2) == label.value
 
 
 def test_classify_stable_away_from_boundaries(rng):
@@ -310,10 +309,10 @@ def test_classify_stable_away_from_boundaries(rng):
         cs2 = rng.uniform(0.0, 1.2)
         if np.min(np.abs(w - w_edges)) < 1e-6 or abs(cs2 - CS2_DUST_MAX) < 1e-6:
             continue
-        base = classify_regime(w, cs2)
+        base = classify_regimes(w, cs2)
         for dw in (-1e-9, 0.0, 1e-9):
             for dc in (-1e-9, 0.0, 1e-9):
-                assert classify_regime(w + dw, cs2 + dc) is base
+                assert classify_regimes(w + dw, cs2 + dc) == base
         checked += 1
     assert checked > 2500
 
@@ -325,7 +324,7 @@ def test_classify_array_form_matches_scalar(rng):
                           [0.01, 0.01, 0.0, 0.01, 0.0, 0.0]])
     labels = classify_regimes(w, cs2)
     assert labels.shape == w.shape
-    assert labels.tolist() == [classify_regime(a, b).value
+    assert labels.tolist() == [classify_regimes(a, b).item()
                                for a, b in zip(w, cs2)]
 
 

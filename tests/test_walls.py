@@ -14,6 +14,7 @@ from kessence.walls import (
     WallProfile,
     check_derivative,
     default_grid,
+    grid_points,
     sample,
     sample_sharpness,
     sharpness,
@@ -94,6 +95,10 @@ def test_default_grid_resolves_wall():
     lo, hi, spacing = default_grid(WallProfile(b=0.1, L=2.0))
     # L/200 binds when the wall is thick
     assert spacing == pytest.approx(0.01)
+    # grid_points counts the points sample takes
+    for p in (WallProfile(b=10.0, L=9.0), WallProfile(b=100.0, L=9.27),
+              WallProfile(b=0.1, L=2.0)):
+        assert grid_points(p) == sample(p).x.size
 
 
 def test_profile_validation():
@@ -131,6 +136,8 @@ def test_grid_over_row_cap_is_refused(b, L):
     try:
         with pytest.raises(ValueError, match="MAX_ROWS"):
             default_grid(p)
+        with pytest.raises(ValueError, match="MAX_ROWS"):
+            grid_points(p)
         with pytest.raises(ValueError, match="MAX_ROWS"):
             sample(p)
         peak = tracemalloc.get_traced_memory()[1]
