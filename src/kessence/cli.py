@@ -102,12 +102,6 @@ def _check_rows(table: str, rows: int) -> None:
             f"MAX_ROWS={MAX_ROWS}")
 
 
-def _walls(b_vals, L_vals) -> list:
-    """The walls of the (b, L) grid, b-major; an invalid one is a ConfigError."""
-    with _invalid("wall"):
-        return [WallProfile(b=b, L=L) for b in b_vals for L in L_vals]
-
-
 def _scan_values(scan: dict, key: str) -> np.ndarray:
     r = scan[key]
     return np.linspace(r.min, r.max, r.count)
@@ -187,23 +181,24 @@ def run_wall(config: RunConfig):
     scan = config.scan or {}
     b_vals = _scan_values(scan, "b").tolist() if "b" in scan else [config.wall.b]
     L_vals = _scan_values(scan, "L").tolist() if "L" in scan else [config.wall.L]
-    _check_rows("the sharpness table", len(b_vals) * len(L_vals))
-    walls = _walls(b_vals, L_vals)
-    with _invalid("wall"):
-        rows = sum(grid_points(wall) for wall in walls)
-    _check_rows("the profile files together", rows)
     stem = config.output.stem
-    profiles = [f"{stem}_profile_b{w.b:g}_L{w.L:g}.csv" for w in walls]
-    seen = set()
-    for name in profiles:
-        if name in seen:
-            raise ConfigError(
-                f"two walls of the scan would both write {name}: profile "
-                "file names hold b and L to 6 significant digits")
-        seen.add(name)
+    profiles, rows = {}, 0  # profile file name -> wall, b-major
+    with _invalid("wall"):
+        for b in b_vals:
+            for L in L_vals:
+                wall = WallProfile(b=b, L=L)
+                rows += grid_points(wall)
+                _check_rows("the profile files together", rows)
+                name = f"{stem}_profile_b{b:g}_L{L:g}.csv"
+                if name in profiles:
+                    raise ConfigError(
+                        f"two walls of the scan would both write {name}: "
+                        "profile file names hold b and L to 6 significant "
+                        "digits")
+                profiles[name] = wall
 
     sharp_rows = []
-    for wall, name in zip(walls, profiles):
+    for name, wall in profiles.items():
         s = sample(wall)
         yield name, ["x,phi,dphi_dx,X_mag"], [s.x, s.phi, s.dphi_dx, s.X_mag]
         rep = sample_sharpness(s)
@@ -213,7 +208,7 @@ def run_wall(config: RunConfig):
     sharp_name = f"{stem}_sharpness.csv"
     yield (sharp_name, ["b,L,peak_value,peak_position,half_width,integral"],
            list(zip(*sharp_rows)))
-    summary = ["wall summary", f"combinations: {len(walls)}",
+    summary = ["wall summary", f"combinations: {len(profiles)}",
                "profile files:"]
     summary.extend(f"  {name}" for name in profiles)
     summary.append(f"sharpness table: {sharp_name}")
@@ -310,7 +305,9 @@ def run_regimes(config: RunConfig):
 
     # One (b, L, X0) block per wall (X0 its scalar kinetic scale: a vectorised
     # exp may differ in the last bit) or direct X0 value (b and L NAN).
-    blocks = [(w.b, w.L, w.kinetic_scale) for w in _walls(b_vals, L_vals)]
+    with _invalid("wall"):
+        blocks = [(b, L, WallProfile(b=b, L=L).kinetic_scale)
+                  for b in b_vals for L in L_vals]
     blocks.extend((math.nan, math.nan, X0) for X0 in X0_vals)
 
     # Rows run block -> eps0 -> F2, the order of nested loops over them.

@@ -95,7 +95,7 @@ class DeSitter:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """a(t) = (t/t0)^p with p > 0, valid for t > 0."""
+    """a(t) = a_start (t/t_start)^p, p > 0, t > 0; t0 affects no output."""
 
     p: float
     t0: float = 1.0
@@ -176,8 +176,8 @@ class Trajectory:
     """Dense output of one integration run.
 
     All arrays share one length.  w and cs2 are NaN on any row where
-    the corresponding denominator falls under the degeneracy guard;
-    Q = X F_X^2 a^6 is always finite.
+    the corresponding denominator falls under the degeneracy guard.
+    Q = X F_X^2 a^6 can overflow: a^6 alone does past a of about 2.4e51.
     """
 
     model: KineticModel
@@ -194,20 +194,13 @@ class Trajectory:
         return self.t.size
 
     @classmethod
-    def build(cls, model: KineticModel, t, a, phi, phidot,
-              X=None) -> "Trajectory":
-        """Assemble a trajectory, deriving X from phidot unless an exact
-        X array is supplied (the kinetic-only integrator carries X - X0
-        natively and must not round-trip it through phidot)."""
+    def build(cls, model: KineticModel, t, a, phi, phidot, X) -> "Trajectory":
+        """Assemble a trajectory, deriving w, cs2 and Q from X and a."""
         t = np.asarray(t, dtype=float)
         a = np.asarray(a, dtype=float)
         phi = np.asarray(phi, dtype=float)
         phidot = np.asarray(phidot, dtype=float)
-        if X is None:
-            X = 0.5 * phidot * phidot
-        else:
-            X = np.asarray(X, dtype=float)
-
+        X = np.asarray(X, dtype=float)
         w, _ = eos_w(model, X, masked=True)
         cs2, _ = sound_speed(model, X, masked=True)
         F_X = eval_F_X(model, X)
@@ -243,17 +236,22 @@ def _check_window(background: BackgroundSpec, init: FieldState,
             f"got init.t={init.t}")
 
 
-def _run_solver(rhs, init: FieldState, t_end: float,
-                control: StepControl) -> object:
-    t_eval = np.linspace(init.t, t_end, control.n_output)
+def _integrate(model: KineticModel, background: BackgroundSpec,
+               init: FieldState, t_end: float, control: StepControl,
+               rhs, y0) -> tuple:
+    """Integrate `rhs` from `y0` at init.t to t_end, after the window and
+    start-state checks; returns the report times, a(t) and the states."""
+    _check_window(background, init, t_end, control.n_output)
+    _mass_coefficient(model, init.X, init.t)
     sol = solve_ivp(
-        rhs, (init.t, t_end), rhs.y0, method="DOP853",
+        rhs, (init.t, t_end), y0, method="DOP853",
         rtol=control.rel_tol / _SOLVER_MARGIN,
         atol=control.abs_tol / _SOLVER_MARGIN,
-        t_eval=t_eval, dense_output=False)
+        t_eval=np.linspace(init.t, t_end, control.n_output),
+        dense_output=False)
     if not sol.success:
         raise StepFailure(f"integration failed: {sol.message}")
-    return sol
+    return sol.t, init.a * background.scale_ratio(sol.t, init.t), sol.y
 
 
 def evolve_full(model: KineticModel, potential: PotentialSpec,
@@ -266,9 +264,6 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
     equation.  The phidd coefficient is checked on every right-hand-side
     evaluation and SingularMassMatrix is raised if it degenerates.
     """
-    _check_window(background, init, t_end, control.n_output)
-    _mass_coefficient(model, init.X, init.t)
-
     def rhs(t, y):
         phi, phidot = y
         X = 0.5 * phidot * phidot
@@ -285,10 +280,9 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
             force += (2.0 * X * F_X - eval_F(model, X)) * ratio
         return (phidot, -force / coef)
 
-    rhs.y0 = (init.phi, init.phidot)
-    sol = _run_solver(rhs, init, t_end, control)
-    a = init.a * background.scale_ratio(sol.t, init.t)
-    return Trajectory.build(model, sol.t, a, sol.y[0], sol.y[1])
+    t, a, (phi, phidot) = _integrate(model, background, init, t_end, control,
+                                     rhs, (init.phi, init.phidot))
+    return Trajectory.build(model, t, a, phi, phidot, 0.5 * phidot * phidot)
 
 
 def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
@@ -304,9 +298,6 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     Q column conserves to the integrator tolerance, not to the (much
     worse) precision of a phidot round trip.
     """
-    _check_window(background, init, t_end, control.n_output)
-    _mass_coefficient(model, init.X, init.t)
-
     X0 = model.X0
     sgn = math.copysign(1.0, init.phidot) if init.phidot != 0.0 else 0.0
 
@@ -321,12 +312,11 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
         udot = -6.0 * background.hubble(t) * u * X / (2.0 * X0 + 3.0 * u)
         return (sgn * math.sqrt(2.0 * X), udot)
 
-    rhs.y0 = (init.phi, init.X - X0)
-    sol = _run_solver(rhs, init, t_end, control)
-    a = init.a * background.scale_ratio(sol.t, init.t)
-    X = X0 + sol.y[1]
+    t, a, (phi, u) = _integrate(model, background, init, t_end, control,
+                                rhs, (init.phi, init.X - X0))
+    X = X0 + u
     phidot = sgn * np.sqrt(np.maximum(2.0 * X, 0.0))
-    return Trajectory.build(model, sol.t, a, sol.y[0], phidot, X=X)
+    return Trajectory.build(model, t, a, phi, phidot, X)
 
 
 class ScalingFit(NamedTuple):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,9 +57,9 @@ class WallProfile:
             raise ValueError(f"the wall {self} has no usable kinetic scale: "
                              "X_mag(L/2) must be > 0 and (pi b)^2 finite")
 
-    @property
+    @cached_property
     def kinetic_scale(self) -> float:
-        """X_mag(L/2), the spike height at the wall centre."""
+        """X_mag(L/2), the spike height at the wall centre (computed once)."""
         return float(self.kinetic_magnitude(self.L / 2.0))
 
     def phi(self, x):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kessence import cli
 from kessence.cli import _fmt, main, run_wall
 from kessence.config import (
     MAX_ROWS,
@@ -478,6 +479,25 @@ def test_wall_total_rows_cap_boundary():
     doc["scan"]["L"]["count"] = 28
     with pytest.raises(ConfigError, match="1023148 rows, over the row cap"):
         next(run_wall(parse_config(json.dumps(doc))))
+
+
+def test_wall_scan_stops_at_the_first_wall_over_the_cap(monkeypatch):
+    """Every profile holds at least 801 rows, so the running profile total
+    refuses a 1000 x 1000 scan by its 1249th wall, before the others are
+    built."""
+    calls = []
+    count = cli.grid_points
+
+    def counted(wall):
+        calls.append(wall)
+        return count(wall)
+
+    monkeypatch.setattr(cli, "grid_points", counted)
+    doc = dict(BASE_DOC, wall={"b": 1.0, "L": 1.0},
+               scan={"b": _range(1.0, 2.0, 1000), "L": _range(1.0, 2.0, 1000)})
+    with pytest.raises(ConfigError, match="the profile files together"):
+        next(run_wall(parse_config(json.dumps(doc))))
+    assert len(calls) <= 1249
 
 
 def test_wall_figure2_trio(tmp_path):

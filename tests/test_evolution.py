@@ -261,7 +261,7 @@ def test_axes_monotone():
 def _state_Q(model, state):
     """The Q column of a one-row trajectory at `state`."""
     return Trajectory.build(model, [state.t], [state.a], [state.phi],
-                            [state.phidot]).Q[0]
+                            [state.phidot], [state.X]).Q[0]
 
 
 def test_invariant_value_rational_oracle():

@@ -128,6 +128,22 @@ def test_kinetic_scale_is_spike_height_at_wall_centre():
     assert WallProfile(b=4.2678e153, L=1e-154).kinetic_scale < math.inf
 
 
+def test_kinetic_scale_is_computed_once(monkeypatch):
+    """The validity check computes X_mag(L/2); reading it costs no more."""
+    calls = []
+    magnitude = WallProfile.kinetic_magnitude
+
+    def counted(self, x):
+        calls.append(x)
+        return magnitude(self, x)
+
+    monkeypatch.setattr(WallProfile, "kinetic_magnitude", counted)
+    p = WallProfile(b=10.0, L=9.0)
+    built = len(calls)
+    assert p.kinetic_scale == p.kinetic_scale > 0.0
+    assert len(calls) == built
+
+
 @pytest.mark.parametrize("b,L", [(1e10, 9.0), (1.0, 1e308)])
 def test_grid_over_row_cap_is_refused(b, L):
     # 3.6e12 points at b L = 9e10; at L = 1e308 the span 4L overflows
