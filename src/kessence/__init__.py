@@ -3,7 +3,6 @@ homogeneous evolution, and regime classification."""
 
 from .errors import (
     KessenceError,
-    DegenerateDenominator,
     InvalidGrid,
     SingularMassMatrix,
     StepFailure,

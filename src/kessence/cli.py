@@ -40,6 +40,7 @@ from .evolution import (
     scaling_slope,
 )
 from .model import (
+    ConstantPotential,
     KineticModel,
     classify_regimes,
     cs2_thinwall_approx,
@@ -134,8 +135,8 @@ def run_eos_scan(config: RunConfig):
     m = config.model
 
     with np.errstate(all="ignore"):
-        w_e, w_pole = eos_w(m, X, masked=True)
-        cs2_e, cs2_pole = sound_speed(m, X, masked=True)
+        w_e, w_pole = eos_w(m, X)
+        cs2_e, cs2_pole = sound_speed(m, X)
         # The perturbed closed forms describe the state X = X0 + eps0, so
         # each row reads its own eps0 = X - X0 (0 on rows below X0, whose
         # perturbed cells are NAN).
@@ -143,8 +144,8 @@ def run_eos_scan(config: RunConfig):
         above, below = eps > 0.0, ~(eps >= 0.0)
         pm = KineticModel(F2=m.F2, X0=m.X0, eps0=np.where(above, eps, 0.0),
                           F0=m.F0)
-        w_p, w_p_pole = w_perturbed_exact(pm, masked=True)
-        cs2_p, _ = sound_speed_perturbed(pm, masked=True)
+        w_p, w_p_pole = w_perturbed_exact(pm)
+        cs2_p, _ = sound_speed_perturbed(pm)
         w_p[below] = np.nan
         F, F_X = eval_F(m, X), eval_F_X(m, X)
     notes = _notes(X.size, [
@@ -264,7 +265,7 @@ def run_evolve(config: RunConfig):
         summary.append(f"max absolute Q drift = {_fmt(drift)} (Q(0) = 0)")
     bound = 100.0 * ev.control.rel_tol
     summary.append(f"drift bound (100 * rel_tol) = {_fmt(bound)}")
-    if mode == "full" and config.potential.curvature(0.0) != 0.0:
+    if mode == "full" and not isinstance(config.potential, ConstantPotential):
         summary.append(
             "note: Q is a first integral of the constant-V equation only; "
             "drift is expected with a varying potential")
@@ -316,10 +317,10 @@ def run_regimes(config: RunConfig):
     b, L, X0 = np.array(blocks)[k].T
     m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=config.model.F0)
     with np.errstate(all="ignore"):
-        w_e, _ = w_perturbed_exact(m, masked=True)
-        cs2_e, _ = sound_speed_perturbed(m, masked=True)
-        w_p, _ = w_thinwall_approx(X0, eps0, F2, masked=True)
-        cs2_p, _ = cs2_thinwall_approx(X0, eps0, masked=True)
+        w_e, _ = w_perturbed_exact(m)
+        cs2_e, _ = sound_speed_perturbed(m)
+        w_p, _ = w_thinwall_approx(X0, eps0, F2)
+        cs2_p, _ = cs2_thinwall_approx(X0, eps0)
     label = classify_regimes(w_p, cs2_p)
 
     report = ["regime discrepancy report", f"rows: {k.size}"]

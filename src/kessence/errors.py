@@ -1,9 +1,8 @@
 """Exception types and the row cap shared across the package.
 
-The closed forms raise DegenerateDenominator at a pole, or with
-masked=True return NaN there plus the pole mask, so the caller decides
-whether a degenerate point is fatal (library use) or just a NAN cell in a
-CSV row (the CLI scans).
+A closed-form pole is not an exception: the model functions return NaN
+there plus the pole mask, and the caller decides whether it is fatal or
+a NAN cell in a CSV row (the CLI scans).
 """
 
 # The most rows one output table may hold, ten times the largest benchmark
@@ -14,10 +13,6 @@ MAX_ROWS = 1_000_000
 
 class KessenceError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DegenerateDenominator(KessenceError):
-    """A rational expression was evaluated within tolerance of its pole."""
 
 
 class InvalidGrid(KessenceError):

@@ -201,8 +201,8 @@ class Trajectory:
         phi = np.asarray(phi, dtype=float)
         phidot = np.asarray(phidot, dtype=float)
         X = np.asarray(X, dtype=float)
-        w, _ = eos_w(model, X, masked=True)
-        cs2, _ = sound_speed(model, X, masked=True)
+        w, _ = eos_w(model, X)
+        cs2, _ = sound_speed(model, X)
         F_X = eval_F_X(model, X)
         Q = X * F_X * F_X * a ** 6
         return cls(model=model, t=t, a=a, phi=phi, phidot=phidot,

@@ -23,9 +23,10 @@ stays visible.
 
 Everything is dimensionless (natural units). Functions accept floats or
 numpy arrays and broadcast. Every rational-function pole goes through one
-rule, `guarded_div`: the closed forms raise
-:class:`~kessence.errors.DegenerateDenominator` at a pole, or with
-masked=True return (values, pole mask) with NaN at the poles.
+rule, `guarded_div`, and every closed form returns (values, pole), with NaN
+in values where pole is True: pole is a bool where the denominator's inputs
+are scalars, an array otherwise. The caller decides whether a pole is fatal
+or a NAN cell.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .errors import DegenerateDenominator
 
 # Pole guard: a denominator within 1e-12 of the magnitude of its own terms
 # is treated as degenerate (these are exact poles of rational functions).
@@ -53,15 +52,6 @@ def guarded_div(num, den, scale):
         return (np.nan if pole else num / den), pole
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(pole, np.nan, num / den), pole
-
-
-def _checked(values, pole, masked: bool, error: Exception):
-    """(values, pole) if masked; else values, raising error at any pole."""
-    if masked:
-        return values, pole
-    if np.any(pole):
-        raise error
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +95,6 @@ class ConstantPotential:
     def value(self, phi):
         return self.V0 + 0.0 * phi
 
-    def curvature(self, phi):
-        return 0.0 * phi
-
     def log_slope(self, phi):
         """V'/V, identically zero."""
         return 0.0 * phi
@@ -125,9 +112,6 @@ class QuadraticPotential:
 
     def value(self, phi):
         return self.m2 * phi * phi
-
-    def curvature(self, phi):
-        return 2.0 * self.m2 + 0.0 * phi
 
     def log_slope(self, phi):
         """V'/V = 2/phi.  Raises ZeroDivisionError at phi = 0, where the
@@ -198,51 +182,45 @@ def density(model: KineticModel, potential: PotentialSpec, phi, X):
     return potential.value(phi) * (2.0 * X * eval_F_X(model, X) - eval_F(model, X))
 
 
-def eos_w(model: KineticModel, X, *, masked: bool = False):
-    """Equation of state w = F / (2 X F_X - F); the potential cancels.
+def eos_w(model: KineticModel, X):
+    """(w, pole): equation of state w = F / (2 X F_X - F); V cancels.
 
     At X = X0 the derivative term vanishes and w = -1 exactly. F itself
     crossing zero is a legitimate w = 0 point, not a singularity; only the
-    denominator is guarded.
+    denominator 2 X F_X - F is guarded (w NaN and pole True where it is ~0).
     """
     F = eval_F(model, X)
     t1 = 2.0 * X * eval_F_X(model, X)
-    return _checked(*guarded_div(F, t1 - F, np.maximum(np.abs(t1), np.abs(F))),
-                    masked, DegenerateDenominator(
-                        "equation-of-state denominator 2*X*F_X - F is degenerate"))
+    return guarded_div(F, t1 - F, np.maximum(np.abs(t1), np.abs(F)))
 
 
-def sound_speed(model: KineticModel, X, *, masked: bool = False):
-    """Perturbation sound speed cs2 = F_X / (F_X + 2 X F_XX).
+def sound_speed(model: KineticModel, X):
+    """(cs2, pole): perturbation sound speed cs2 = F_X / (F_X + 2 X F_XX).
 
     For the quadratic F this equals (X - X0)/(3 X - X0), so it vanishes at
-    the extremum and has a pole at X = X0/3.
+    the extremum and has a pole at X = X0/3 (and is 0/0 when F2 = 0).
     """
     F_X = eval_F_X(model, X)
     t2 = 2.0 * X * eval_F_XX(model, X)
-    return _checked(*guarded_div(F_X, F_X + t2, np.maximum(np.abs(F_X), np.abs(t2))),
-                    masked, DegenerateDenominator(
-                        "sound-speed denominator F_X + 2*X*F_XX is degenerate"))
+    return guarded_div(F_X, F_X + t2, np.maximum(np.abs(F_X), np.abs(t2)))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms at the perturbed kinetic state X = X0 + eps0
 # ---------------------------------------------------------------------------
 
-def sound_speed_perturbed(model: KineticModel, *, masked: bool = False):
-    """cs2 at X = X0 + eps0 in closed form: 1 / (3 + 2 X0/eps0).
+def sound_speed_perturbed(model: KineticModel):
+    """(cs2, pole): cs2 at X = X0 + eps0 in closed form, 1 / (3 + 2 X0/eps0).
 
-    Algebraically identical to sound_speed(model, X0 + eps0); requires
-    eps0 > 0 (ValueError otherwise). masked=True returns (cs2, pole) with
-    NaN where eps0 = 0 instead.
+    Algebraically identical to sound_speed(model, X0 + eps0). Its pole is
+    eps0 = 0, where it returns (NaN, True).
     """
     ratio, pole = guarded_div(2.0 * model.X0, model.eps0, 0.0)
-    return _checked(1.0 / (3.0 + ratio), pole, masked,
-                    ValueError("sound_speed_perturbed requires eps0 > 0"))
+    return 1.0 / (3.0 + ratio), pole
 
 
-def w_perturbed_exact(model: KineticModel, *, masked: bool = False):
-    """w at X = X0 + eps0 in closed form.
+def w_perturbed_exact(model: KineticModel):
+    """(w, pole): w at X = X0 + eps0 in closed form.
 
     Evaluates -1 / (1 - 4 (X0+eps0) eps0 F2 / F(X0+eps0)) with the
     denominator cleared, i.e. -F / (F - 4 (X0+eps0) F2 eps0), which is the
@@ -252,44 +230,40 @@ def w_perturbed_exact(model: KineticModel, *, masked: bool = False):
     e = model.eps0
     F = model.F0 + model.F2 * e * e
     t = 4.0 * (model.X0 + e) * model.F2 * e
-    return _checked(*guarded_div(-F, F - t, np.maximum(np.abs(F), np.abs(t))),
-                    masked, DegenerateDenominator("perturbed-w denominator is degenerate"))
+    return guarded_div(-F, F - t, np.maximum(np.abs(F), np.abs(t)))
 
 
 # ---------------------------------------------------------------------------
 # Thin-wall limit approximations (kept distinct from the exact forms)
 # ---------------------------------------------------------------------------
 
-def w_thinwall_approx(X0, eps0, F2, *, masked: bool = False):
-    """Simplified steep-wall estimate w = -1 / (1 - 4 X0 eps0 / F2).
+def w_thinwall_approx(X0, eps0, F2):
+    """(w, pole): simplified steep-wall estimate w = -1 / (1 - 4 X0 eps0 / F2).
 
     Drops the F0 contribution retained by `w_perturbed_exact`; the two
     disagree badly away from eps0 = 0 (e.g. X0 = F2 = 1e3, eps0 = 1e-2
     gives -1/0.96 here versus ~ -2.25e-5 exactly). Reported separately so
-    the regime table can show both.
+    the regime table can show both. Its pole is 4 X0 eps0 = F2.
     """
     t = 4.0 * X0 * eps0 / F2
-    return _checked(*guarded_div(-1.0, 1.0 - t, np.maximum(1.0, np.abs(t))),
-                    masked, DegenerateDenominator(
-                        "thin-wall w denominator 1 - 4*X0*eps0/F2 is degenerate"))
+    return guarded_div(-1.0, 1.0 - t, np.maximum(1.0, np.abs(t)))
 
 
-def cs2_thinwall_approx(X0, eps0, *, masked: bool = False):
-    """Simplified wall-limit sound speed 1 / (1 + 4 X0 (1 + X0/(2 eps0))).
+def cs2_thinwall_approx(X0, eps0):
+    """(cs2, pole): wall-limit sound speed 1 / (1 + 4 X0 (1 + X0/(2 eps0))).
 
     Strictly decreasing in X0: -> 1 as X0 -> 0+ (thick wall), -> 0 as
     X0 -> inf (thin wall). Not equivalent to the exact `sound_speed`.
-    Requires eps0 > 0 (ValueError otherwise); masked=True returns
-    (cs2, pole) with NaN where eps0 = 0 instead.
+    Its pole is eps0 = 0, where it returns (NaN, True). ValueError for
+    eps0 < 0 or a non-positive denominator.
     """
     if not np.all(eps0 >= 0):
-        raise ValueError("cs2_thinwall_approx requires eps0 > 0")
+        raise ValueError("cs2_thinwall_approx requires eps0 >= 0")
     ratio, pole = guarded_div(X0, 2.0 * eps0, 0.0)
     den = 1.0 + 4.0 * X0 * (1.0 + ratio)
     if not np.all((den > 0) | pole):
         raise ValueError("cs2_thinwall_approx denominator must be positive")
-    return _checked(1.0 / den, pole, masked,
-                    ValueError("cs2_thinwall_approx requires eps0 > 0"))
+    return 1.0 / den, pole
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +273,10 @@ def cs2_thinwall_approx(X0, eps0, *, masked: bool = False):
 def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     """Sound speed along the scaling solution.
 
-    mode="exact" evaluates (X - X0)/(3 X - X0) at X = X0 (1 + eps1 (a/a1)^-3);
-    mode="first_order" evaluates eps1/2 * (a/a1)^-3. For |eps1| << 1 the
-    two agree to O(eps1^2).
+    mode="exact" evaluates (X - X0)/(3 X - X0) at X = X0 (1 + eps1 (a/a1)^-3),
+    NaN at its pole 3 X = X0; mode="first_order" evaluates
+    eps1/2 * (a/a1)^-3, which has no pole. For |eps1| << 1 the two agree to
+    O(eps1^2).
     """
     if not np.all(a > 0):
         raise ValueError("scale factor a must be > 0")
@@ -311,10 +286,8 @@ def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'first_order'")
     X = s.X0 * (1.0 + decay)
-    return _checked(*guarded_div(X - s.X0, 3.0 * X - s.X0,
-                                 np.maximum(np.abs(3.0 * X), np.abs(s.X0))),
-                    False, DegenerateDenominator(
-                        "scaling cs2 denominator 3*X - X0 is degenerate"))
+    return guarded_div(X - s.X0, 3.0 * X - s.X0,
+                       np.maximum(np.abs(3.0 * X), np.abs(s.X0)))[0]
 
 
 # ---------------------------------------------------------------------------

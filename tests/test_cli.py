@@ -27,7 +27,7 @@ from kessence.config import (
     preset_config,
     serialize_config,
 )
-from kessence.errors import ConfigError, DegenerateDenominator
+from kessence.errors import ConfigError
 from kessence.model import (
     KineticModel,
     classify_regimes,
@@ -132,18 +132,10 @@ def test_eos_scan_pole_and_below_extremum_rows(tmp_path):
         assert "X < X0" in c[8]
 
 
-def _guarded(fn, *args):
-    """fn(*args) as a float, or NaN when its pole guard fires."""
-    try:
-        return float(fn(*args)), False
-    except DegenerateDenominator:
-        return math.nan, True
-
-
 def _eos_row(m, X):
     """One eos-scan row from scalar library calls."""
-    w_e, w_pole = _guarded(eos_w, m, X)
-    cs2_e, cs2_pole = _guarded(sound_speed, m, X)
+    w_e, w_pole = eos_w(m, X)
+    cs2_e, cs2_pole = sound_speed(m, X)
     notes = []
     if w_pole:
         notes.append("w_exact guard: 2*X*F_X - F ~ 0")
@@ -152,13 +144,13 @@ def _eos_row(m, X):
     eps = X - m.X0
     if eps > 0.0:
         pm = KineticModel(F2=m.F2, X0=m.X0, eps0=eps, F0=m.F0)
-        w_p, w_p_pole = _guarded(w_perturbed_exact, pm)
+        w_p, w_p_pole = w_perturbed_exact(pm)
         if w_p_pole:
             notes.append("w_perturbed_eq14 guard: denominator ~ 0")
-        cs2_p = float(sound_speed_perturbed(pm))
+        cs2_p, _ = sound_speed_perturbed(pm)
     elif eps == 0.0:
-        w_p = float(w_perturbed_exact(
-            KineticModel(F2=m.F2, X0=m.X0, eps0=0.0, F0=m.F0)))
+        w_p, _ = w_perturbed_exact(
+            KineticModel(F2=m.F2, X0=m.X0, eps0=0.0, F0=m.F0))
         cs2_p = math.nan
         notes.append("X = X0: perturbed cs2 undefined at eps0 = 0")
     else:
@@ -173,10 +165,10 @@ def _eos_row(m, X):
 def _regimes_row(b, L, X0, eps0, F2, F0):
     """One regimes row (as cells) from scalar library calls."""
     m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=F0)
-    w_e, _ = _guarded(w_perturbed_exact, m)
-    w_p, _ = _guarded(w_thinwall_approx, X0, eps0, F2)
-    cs2_e = float(sound_speed_perturbed(m)) if eps0 > 0 else math.nan
-    cs2_p = float(cs2_thinwall_approx(X0, eps0)) if eps0 > 0 else math.nan
+    w_e, _ = w_perturbed_exact(m)
+    w_p, _ = w_thinwall_approx(X0, eps0, F2)
+    cs2_e, _ = sound_speed_perturbed(m)
+    cs2_p, _ = cs2_thinwall_approx(X0, eps0)
     return [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p,
             classify_regimes(w_p, cs2_p).item()]
 
@@ -346,10 +338,11 @@ BAD_CONFIGS = [
                                  "eps0": _range(0.0, 1.0, 1000),
                                  "F2": _range(1.0, 1.0, 1)}},
          "regimes-grid-over-cap"),
+    # refused by the running profile total by its 1249th wall
     _bad(2, "wall", {"wall": {"b": 1.0, "L": 1.0},
                      "scan": {"b": _range(1.0, 2.0, 1001),
                               "L": _range(1.0, 2.0, 1000)}},
-         "wall-sharpness-table-over-cap"),
+         "wall-1001x1000-scan-over-profile-total"),
     # 28 profiles of about 36.5k rows each, 1 023 148 rows in all
     _bad(2, "wall", {"wall": {"b": 100.0, "L": 9.0},
                      "scan": {"b": _range(100.0, 100.0, 1),
@@ -402,12 +395,13 @@ def _fuzz_seeds():
     for name in PRESET_NAMES:
         doc = json.loads(serialize_config(preset_config(name)))
         seeds.extend((cmd, doc) for cmd in readers[name])
-    # Left out: with its b count cut to 1, wall-sharpness-table-over-cap is
-    # a valid run of 1000 profile files, 0.8e6 rows that take seconds, and
+    # Left out: with its b count cut to 1 or 2,
+    # wall-1001x1000-scan-over-profile-total is a valid run of 1000-2000
+    # profile files, 0.8-1.6e6 rows that take seconds, and
     # wall-profiles-total-over-cap is one with a lower L min or a lower L count.
     seeds.extend((p.values[1], p.values[2]) for p in BAD_CONFIGS
                  if p.values[1] in _FUZZ_COMMANDS
-                 and p.id not in ("wall-sharpness-table-over-cap",
+                 and p.id not in ("wall-1001x1000-scan-over-profile-total",
                                   "wall-profiles-total-over-cap"))
     return seeds
 
@@ -644,6 +638,17 @@ def test_evolve_full_quadratic_notes_varying_potential(tmp_path):
     assert "mode: full" in summary
     assert any("Q is a first integral of the constant-V equation only"
                in s for s in summary)
+
+
+def test_evolve_full_constant_potential_has_no_note(tmp_path):
+    doc = dict(BASE_DOC)
+    doc["evolve"] = {**_EVOLVE, "kinetic_only": False}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = _rows(out / "run_evolve_summary.txt")
+    assert "mode: full" in summary
+    assert not any("first integral" in s for s in summary)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kessence.errors import DegenerateDenominator
 from kessence.model import (
     CS2_DUST_MAX,
     KineticModel,
@@ -51,6 +50,12 @@ MODELS = st.builds(KineticModel, F2=F2S, X0=X0S, F0=F0S)
 def _exact_rational(fn, *floats):
     """Evaluate fn on Fractions of the given floats, return a float."""
     return float(fn(*[Fraction(v) for v in floats]))
+
+
+def _nan_at_pole(result):
+    """True if a scalar closed-form result is (NaN, True)."""
+    value, pole = result
+    return math.isnan(value) and bool(pole)
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +99,12 @@ def test_F_X_vanishes_only_at_extremum():
 
 def test_w_at_extremum_is_minus_one_exactly():
     for m in (REF, KineticModel(F2=7.5, X0=0.003, F0=2.0)):
-        assert float(eos_w(m, m.X0)) == -1.0
-        assert float(sound_speed(m, m.X0)) == 0.0
+        assert eos_w(m, m.X0) == (-1.0, False)
+        assert sound_speed(m, m.X0) == (0.0, False)
     # the flat case still has w = -1 but its sound speed is 0/0
     flat = KineticModel(F2=0.0, X0=5.0)
-    assert float(eos_w(flat, flat.X0)) == -1.0
-    with pytest.raises(DegenerateDenominator):
-        sound_speed(flat, flat.X0)
+    assert eos_w(flat, flat.X0) == (-1.0, False)
+    assert _nan_at_pole(sound_speed(flat, flat.X0))
 
 
 def test_cs2_closed_form_random(rng):
@@ -111,35 +115,35 @@ def test_cs2_closed_form_random(rng):
         if abs(3.0 * r - 1.0) < 3e-2:
             continue
         X = r * X0
-        got = sound_speed(KineticModel(F2=F2, X0=X0), X)
+        got, pole = sound_speed(KineticModel(F2=F2, X0=X0), X)
+        assert not pole
         assert got == pytest.approx((X - X0) / (3.0 * X - X0), rel=1e-12)
 
 
 def test_cs2_at_double_extremum():
     # (2 X0 - X0) / (6 X0 - X0) = 1/5
-    assert sound_speed(REF, 2.0 * REF.X0) == pytest.approx(0.2, rel=1e-14)
+    cs2, pole = sound_speed(REF, 2.0 * REF.X0)
+    assert cs2 == pytest.approx(0.2, rel=1e-14) and not pole
 
 
 @given(MODELS, st.floats(min_value=1e-9, max_value=1e6, **_pos))
 def test_cs2_range_above_extremum(m, c):
     X = m.X0 * (1.0 + c)
     assume(np.isfinite(X) and X > m.X0)
-    v = float(sound_speed(m, X))
-    assert 0.0 <= v < 0.34
+    v, pole = sound_speed(m, X)
+    assert not pole and 0.0 <= v < 0.34
 
 
 def test_w_guard_at_zero_density():
     # With F0=-1, F2=1, X0=1 the density factor 2*X*F_X - F = X*(3X - 2)
     # vanishes at X = 2/3.
     m = KineticModel(F2=1.0, X0=1.0, F0=-1.0)
-    with pytest.raises(DegenerateDenominator):
-        eos_w(m, 2.0 / 3.0)
+    assert _nan_at_pole(eos_w(m, 2.0 / 3.0))
 
 
 def test_cs2_guard_at_third_of_extremum():
     m = KineticModel(F2=2.0, X0=3.0)
-    with pytest.raises(DegenerateDenominator):
-        sound_speed(m, 1.0)
+    assert _nan_at_pole(sound_speed(m, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,8 @@ def test_perturbed_w_paper_point():
         lambda F0, F2, X0, e: -(F0 + F2 * e * e)
         / (F0 + F2 * e * e - 4 * (X0 + e) * F2 * e),
         REF.F0, REF.F2, REF.X0, REF.eps0)
-    got = float(w_perturbed_exact(REF))
+    got, pole = w_perturbed_exact(REF)
+    assert not pole
     assert got == pytest.approx(expect, rel=1e-13)
     assert got == pytest.approx(-2.25e-5, rel=1e-3)
 
@@ -159,24 +164,25 @@ def test_perturbed_w_paper_point():
 def test_perturbed_cs2_paper_point():
     expect = _exact_rational(lambda X0, e: 1 / (3 + 2 * X0 / e),
                              REF.X0, REF.eps0)
-    got = float(sound_speed_perturbed(REF))
+    got, pole = sound_speed_perturbed(REF)
+    assert not pole
     assert got == pytest.approx(expect, rel=1e-13)
     assert got == pytest.approx(4.99993e-6, rel=1e-5)
 
 
 def test_perturbed_cs2_requires_positive_eps0():
-    with pytest.raises(ValueError):
-        sound_speed_perturbed(KineticModel(F2=1.0, X0=1.0))
+    assert _nan_at_pole(sound_speed_perturbed(KineticModel(F2=1.0, X0=1.0)))
 
 
 def test_perturbed_w_defined_at_zero_eps0():
     # -F0 / F0 = -1 with no division hazard
     m = KineticModel(F2=1e3, X0=1e3, eps0=0.0, F0=-1.0)
-    assert float(w_perturbed_exact(m)) == -1.0
+    assert w_perturbed_exact(m) == (-1.0, False)
 
 
 def test_thinwall_w_paper_point():
-    got = float(w_thinwall_approx(1e3, 1e-2, 1e3))
+    got, pole = w_thinwall_approx(1e3, 1e-2, 1e3)
+    assert not pole
     expect = _exact_rational(
         lambda X0, e, F2: -1 / (1 - 4 * X0 * e / F2), 1e3, 1e-2, 1e3)
     assert got == pytest.approx(expect, rel=1e-13)
@@ -185,12 +191,12 @@ def test_thinwall_w_paper_point():
 
 
 def test_thinwall_w_guard():
-    with pytest.raises(DegenerateDenominator):
-        w_thinwall_approx(1.0, 0.25, 1.0)
+    assert _nan_at_pole(w_thinwall_approx(1.0, 0.25, 1.0))
 
 
 def test_thinwall_cs2_paper_point():
-    got = float(cs2_thinwall_approx(1e3, 1e-2))
+    got, pole = cs2_thinwall_approx(1e3, 1e-2)
+    assert not pole
     expect = _exact_rational(
         lambda X0, e: 1 / (1 + 4 * X0 * (1 + X0 / (2 * e))), 1e3, 1e-2)
     assert got == pytest.approx(expect, rel=1e-13)
@@ -198,26 +204,29 @@ def test_thinwall_cs2_paper_point():
 
 
 def test_thinwall_cs2_thick_limit():
-    assert cs2_thinwall_approx(1e-3, 1e-2) == pytest.approx(0.99582, abs=1e-5)
+    assert cs2_thinwall_approx(1e-3, 1e-2) == (
+        pytest.approx(0.99582, abs=1e-5), False)
     grid = np.geomspace(1e-8, 10.0, 40)
-    vals = cs2_thinwall_approx(grid, 1e-2)
+    vals, pole = cs2_thinwall_approx(grid, 1e-2)
+    assert not np.any(pole)
     assert np.all(np.diff(vals) < 0.0)
     assert vals[0] > 1.0 - 1e-6
     assert np.all((vals > 0.0) & (vals <= 1.0))
 
 
 def test_thinwall_cs2_requires_positive_eps0():
-    with pytest.raises(ValueError):
-        cs2_thinwall_approx(1.0, 0.0)
+    assert _nan_at_pole(cs2_thinwall_approx(1.0, 0.0))
+    with pytest.raises(ValueError, match="eps0 >= 0"):
+        cs2_thinwall_approx(1.0, -0.1)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3, **_pos),
        st.floats(min_value=1.001, max_value=1e3, **_pos),
        st.floats(min_value=1e-6, max_value=1e2, **_pos))
 def test_thinwall_cs2_monotone_in_X0(x0, factor, eps0):
-    lo = cs2_thinwall_approx(x0, eps0)
-    hi = cs2_thinwall_approx(x0 * factor, eps0)
-    assert lo > hi
+    lo, lo_pole = cs2_thinwall_approx(x0, eps0)
+    hi, hi_pole = cs2_thinwall_approx(x0 * factor, eps0)
+    assert not (lo_pole or hi_pole) and lo > hi
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +242,8 @@ def test_potential_cancels_in_w(rng):
                          F0=rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1))
         X = m.X0 * rng.uniform(0.05, 5.0)
         phi = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
-        try:
-            w = eos_w(m, X)
-        except DegenerateDenominator:
+        w, pole = eos_w(m, X)
+        if pole:
             continue
         for pot in pots:
             ratio = pressure(m, pot, phi, X) / density(m, pot, phi, X)
@@ -268,7 +276,6 @@ def test_potential_validation():
         QuadraticPotential(m2=-1.0)
     q = QuadraticPotential(m2=0.5)
     assert q.value(3.0) == 4.5
-    assert q.curvature(3.0) == 1.0
     assert q.log_slope(4.0) == 0.5
     with pytest.raises(ZeroDivisionError):
         q.log_slope(0.0)
@@ -345,30 +352,34 @@ def test_guarded_div_scalar_and_array():
     assert math.isnan(q) and not pole
 
 
-def test_masked_closed_forms_match_raising_forms():
+def test_closed_forms_return_values_and_pole():
+    # Each form over a grid that holds its poles: the array call equals the
+    # scalar calls element by element, and NaN sits exactly at the poles.
     m = KineticModel(F2=1.0, X0=3.0, F0=63.0)
     X = np.linspace(0.0, 8.0, 17)  # poles: cs2 at X = 1, w at X = 6
-    for fn in (eos_w, sound_speed):
-        values, pole = fn(m, X, masked=True)
-        assert pole.tolist() == [bool(p) for p in
-                                 (X == (1.0 if fn is sound_speed else 6.0))]
-        for x, v, p in zip(X, values, pole):
-            if p:
-                assert math.isnan(v)
-                with pytest.raises(DegenerateDenominator):
-                    fn(m, x)
-            else:
-                assert v == fn(m, x)
-    pm = KineticModel(F2=1.0, X0=1.0, eps0=np.array([0.0, 0.5, 1.0]), F0=7.0)
-    w, pole = w_perturbed_exact(pm, masked=True)
-    assert w[0] == -1.0 and np.isnan(w[2]) and pole.tolist() == [False, False, True]
-    cs2, pole = sound_speed_perturbed(pm, masked=True)
-    assert np.isnan(cs2[0]) and pole.tolist() == [True, False, False]
-    assert cs2[1] == sound_speed_perturbed(KineticModel(F2=1.0, X0=1.0, eps0=0.5))
-    cs2, pole = cs2_thinwall_approx(1.0, pm.eps0, masked=True)
-    assert np.isnan(cs2[0]) and cs2[2] == cs2_thinwall_approx(1.0, 1.0)
-    w, pole = w_thinwall_approx(1.0, pm.eps0, 2.0, masked=True)
-    assert pole.tolist() == [False, True, False] and np.isnan(w[1])
+    eps0 = np.array([0.0, 0.5, 1.0])
+
+    def perturbed(fn):
+        return lambda e: fn(KineticModel(F2=1.0, X0=1.0, eps0=e, F0=7.0))
+
+    cases = [
+        (lambda x: eos_w(m, x), X, X == 6.0),
+        (lambda x: sound_speed(m, x), X, X == 1.0),
+        (perturbed(w_perturbed_exact), eps0, [False, False, True]),
+        (perturbed(sound_speed_perturbed), eps0, [True, False, False]),
+        (lambda e: w_thinwall_approx(1.0, e, 2.0), eps0, [False, True, False]),
+        (lambda e: cs2_thinwall_approx(1.0, e), eps0, [True, False, False]),
+    ]
+    for fn, grid, expect_pole in cases:
+        values, pole = fn(grid)
+        assert pole.dtype == bool and pole.shape == grid.shape
+        assert pole.tolist() == list(expect_pole)
+        assert np.isnan(values).tolist() == pole.tolist()
+        for x, v, p in zip(grid.tolist(), values.tolist(), pole.tolist()):
+            value, at_pole = fn(x)
+            assert isinstance(value, float)
+            assert isinstance(at_pole, (bool, np.bool_)) and at_pole == p
+            assert math.isnan(value) if p else value == v
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +408,7 @@ def test_scaling_mode_and_domain_errors():
 def test_scaling_cs2_pole_guarded():
     # X = X0 (1 + eps1) with eps1 = -2/3 puts 3X - X0 at zero
     s = ScalingSolution(X0=1.0, eps1=-2.0 / 3.0, a1=1.0)
-    with pytest.raises(DegenerateDenominator):
-        scaling_cs2_of_a(s, 1.0)
+    assert math.isnan(scaling_cs2_of_a(s, 1.0))
 
 
 def test_scaling_cs2_matches_pointwise_form():
@@ -406,4 +416,4 @@ def test_scaling_cs2_matches_pointwise_form():
     a = np.geomspace(1.5, 150.0, 64)
     X = 40.0 * (1.0 + 0.07 * (a / 1.5) ** -3.0)
     m = KineticModel(F2=3.0, X0=40.0)
-    assert np.allclose(scaling_cs2_of_a(s, a), sound_speed(m, X), rtol=1e-12)
+    assert np.allclose(scaling_cs2_of_a(s, a), sound_speed(m, X)[0], rtol=1e-12)
