@@ -38,7 +38,6 @@ from .walls import (
     DerivativeCheck,
     sample,
     default_grid,
-    grid_points,
     sharpness,
     sample_sharpness,
     check_derivative,

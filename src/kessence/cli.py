@@ -28,11 +28,10 @@ from .config import (
     MAX_ROWS,
     PRESET_NAMES,
     RunConfig,
-    _invalid,
     load_config,
     preset_config,
 )
-from .errors import ConfigError, FitDomain, KessenceError
+from .errors import ConfigError, FitDomain, KessenceError, _invalid
 from .evolution import (
     evolve_full,
     evolve_kinetic_only,
@@ -52,7 +51,7 @@ from .model import (
     w_perturbed_exact,
     w_thinwall_approx,
 )
-from .walls import WallProfile, grid_points, sample, sample_sharpness
+from .walls import WallProfile, default_grid, sample, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
@@ -61,15 +60,13 @@ CHUNK_ROWS = 1024
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal; NAN token for missing values."""
-    v = float(value)
-    if math.isnan(v):
-        return "NAN"
-    return repr(v)
+    """The CSV cell of one float."""
+    return _cells(np.array([value], dtype=float))[0]
 
 
 def _cells(column) -> list:
-    """CSV cells of a column slice: floats as _fmt does, strings as they are."""
+    """CSV cells of a column slice: floats as their shortest round-trip
+    decimal (repr), NaN as the NAN token; strings as they are."""
     column = np.asarray(column)
     if column.dtype.kind != "f":
         return column.tolist()
@@ -188,7 +185,7 @@ def run_wall(config: RunConfig):
         for b in b_vals:
             for L in L_vals:
                 wall = WallProfile(b=b, L=L)
-                rows += grid_points(wall)
+                rows += default_grid(wall)[2]
                 _check_rows("the profile files together", rows)
                 name = f"{stem}_profile_b{b:g}_L{L:g}.csv"
                 if name in profiles:

@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import Optional, get_type_hints
 
-from .errors import MAX_ROWS, ConfigError
+from .errors import MAX_ROWS, ConfigError, _invalid
 from .evolution import (
     BackgroundSpec,
     DeSitter,
@@ -59,8 +58,9 @@ class ScanRange:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not 1 <= self.count <= MAX_ROWS:
+            raise ValueError(f"count must be >= 1 and at most the row cap "
+                             f"MAX_ROWS={MAX_ROWS}, got {self.count}")
         # np.linspace steps over max - min; past half the largest float a
         # step overflows
         if not 0.0 <= self.max - self.min <= sys.float_info.max / 2:
@@ -129,15 +129,6 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
-@contextmanager
-def _invalid(where: str):
-    """Report a domain constructor's ValueError as ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from None
-
-
 def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -148,13 +139,10 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(v)
 
 
-def _row_count(obj: dict, key: str, where: str) -> int:
+def _integer(obj: dict, key: str, where: str) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    if v > MAX_ROWS:
-        raise ConfigError(
-            f"{where}.{key}={v} exceeds the row cap MAX_ROWS={MAX_ROWS}")
     return v
 
 
@@ -184,7 +172,7 @@ _KIND_OF = {cls: kind for kinds in _KINDS.values() for kind, cls in kinds.items(
 def _schema(cls) -> tuple:
     """The reader of each key of a `cls` block, in field order (a field's
     type picks its reader), and the required keys: fields without a default."""
-    read_as = {float: _number, int: _row_count, str: _string}
+    read_as = {float: _number, int: _integer, str: _string}
     types = get_type_hints(cls)
     return ({f.name: read_as[types[f.name]] for f in fields(cls)},
             tuple(f.name for f in fields(cls) if f.default is MISSING))

@@ -1,13 +1,15 @@
-"""Exception types and the row cap shared across the package.
+"""Exception types, the row cap and `_invalid`, shared across the package.
 
 A closed-form pole is not an exception: the model functions return NaN
 there plus the pole mask, and the caller decides whether it is fatal or
 a NAN cell in a CSV row (the CLI scans).
 """
 
+from contextlib import contextmanager
+
 # The most rows one output table may hold, ten times the largest benchmark
-# table: config, the commands and walls.default_grid hold sizes to it, and
-# `wall` holds the profiles of one run to it together.
+# table: ScanRange, StepControl, walls.default_grid and the commands hold
+# sizes to it, and `wall` holds the profiles of one run to it together.
 MAX_ROWS = 1_000_000
 
 
@@ -35,3 +37,12 @@ class ConfigError(KessenceError):
     """A configuration the commands cannot run: malformed, incomplete, out
     of its domain (a wall WallProfile rejects among them), over the row
     cap, or with file names that collide."""
+
+
+@contextmanager
+def _invalid(where: str):
+    """Report a domain constructor's ValueError as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from None

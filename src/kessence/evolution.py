@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import FitDomain, SingularMassMatrix, StepFailure
+from .errors import MAX_ROWS, FitDomain, SingularMassMatrix, StepFailure
 from .model import (
     KineticModel,
     PotentialSpec,
@@ -45,7 +45,7 @@ from .model import (
     eval_F,
     eval_F_X,
     eval_F_XX,
-    guarded_div,
+    is_pole,
     sound_speed,
 )
 
@@ -167,8 +167,9 @@ class StepControl:
     def __post_init__(self):
         if not self.rel_tol > 0.0 or not self.abs_tol > 0.0:
             raise ValueError("tolerances must be positive")
-        if self.n_output < 2:
-            raise ValueError(f"n_output must be >= 2, got {self.n_output}")
+        if not 2 <= self.n_output <= MAX_ROWS:
+            raise ValueError(f"n_output must be >= 2 and at most the row cap "
+                             f"MAX_ROWS={MAX_ROWS}, got {self.n_output}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
     F_X = eval_F_X(model, X)
     curv = 2.0 * X * eval_F_XX(model, X)
     coef = F_X + curv
-    if guarded_div(1.0, coef, max(abs(F_X), abs(curv)))[1]:
+    if is_pole(coef, max(abs(F_X), abs(curv))):
         raise SingularMassMatrix(
             f"F_X + 2*X*F_XX vanished at t={t}, X={X}; "
             "the field acceleration is undetermined there")

@@ -23,10 +23,10 @@ stays visible.
 
 Everything is dimensionless (natural units). Functions accept floats or
 numpy arrays and broadcast. Every rational-function pole goes through one
-rule, `guarded_div`, and every closed form returns (values, pole), with NaN
-in values where pole is True: pole is a bool where the denominator's inputs
-are scalars, an array otherwise. The caller decides whether a pole is fatal
-or a NAN cell.
+rule, `is_pole`, and every closed form returns (values, pole) from
+`guarded_div`, with NaN in values where pole is True: both take the
+broadcast shape of the inputs (numpy scalars for scalar inputs). The caller
+decides whether a pole is fatal or a NAN cell.
 """
 
 from __future__ import annotations
@@ -41,17 +41,19 @@ import numpy as np
 DEN_GUARD = 1e-12
 
 
-def guarded_div(num, den, scale):
-    """num / den under the pole rule |den| <= DEN_GUARD * scale.
+def is_pole(den, scale):
+    """The pole rule: |den| <= DEN_GUARD * scale."""
+    return abs(den) <= DEN_GUARD * scale
 
-    Returns (quotient, pole): the quotient is NaN where the rule fires and
-    pole is that mask (a bool for scalar inputs, an array otherwise).
-    """
-    pole = abs(den) <= DEN_GUARD * scale
-    if isinstance(pole, (bool, np.bool_)):
-        return (np.nan if pole else num / den), pole
+
+def guarded_div(num, den, scale):
+    """(num / den, pole) under the pole rule `is_pole(den, scale)`, NaN where
+    pole is True; both take the inputs' broadcast shape (numpy scalars for
+    scalar inputs)."""
+    pole = is_pole(den, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(pole, np.nan, num / den), pole
+        q = np.where(pole, np.nan, np.divide(num, den))
+    return q[()], np.broadcast_to(pole, q.shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -103,38 +103,27 @@ class DerivativeCheck(NamedTuple):
     abs_error: float
 
 
-def default_grid(profile: WallProfile) -> tuple[float, float, float]:
-    """The sampling grid: [-2L, 2L] at spacing min(1/(10 b), L/200).
+def default_grid(profile: WallProfile) -> tuple[float, float, int]:
+    """The sampling grid as `np.linspace` arguments (x_min, x_max, points).
 
-    Resolves both the wall thickness (1/b) and the separation (L).  Raises
-    ValueError when the grid would hold more than MAX_ROWS points, so b L
-    may be at most about 25 000.
+    [-2L, 2L] in ceil(4L / spacing) equal intervals, spacing min(1/(10 b),
+    L/200) at most: it resolves the wall thickness (1/b) and separation (L).
+    Raises ValueError when the grid would hold more than MAX_ROWS points, so
+    b L may be at most about 25 000.
     """
     spacing = min(1.0 / (10.0 * profile.b), profile.L / 200.0)
     # ceil(4L / spacing) + 1 points, counted without the division that overflows
     if not 4.0 * profile.L <= (MAX_ROWS - 1) * spacing:
         raise ValueError(f"{profile} would sample over MAX_ROWS={MAX_ROWS} points")
-    return -2.0 * profile.L, 2.0 * profile.L, spacing
-
-
-def grid_points(profile: WallProfile) -> int:
-    """The number of points `sample` takes on the profile's `default_grid`.
-
-    The grid takes ceil((x_max - x_min) / spacing) equal intervals, so both
-    ends are sample points and the spacing is at most the grid's; a grid
-    over MAX_ROWS points raises ValueError.
-    """
-    x_min, x_max, spacing = default_grid(profile)
-    return int(math.ceil((x_max - x_min) / spacing)) + 1
+    x_min, x_max = -2.0 * profile.L, 2.0 * profile.L
+    return x_min, x_max, int(math.ceil((x_max - x_min) / spacing)) + 1
 
 
 def sample(profile: WallProfile) -> ProfileSample:
-    """Sample phi, dphi/dx and X_mag at the `grid_points` of the profile's
-    `default_grid`; a grid over MAX_ROWS points raises ValueError before
-    anything is allocated.
+    """Sample phi, dphi/dx and X_mag on the profile's `default_grid`; a grid
+    over MAX_ROWS points raises ValueError before anything is allocated.
     """
-    x_min, x_max, _ = default_grid(profile)
-    x = np.linspace(x_min, x_max, grid_points(profile))
+    x = np.linspace(*default_grid(profile))
     dphi = profile.dphi_dx(x)
     return ProfileSample(x=x, phi=profile.phi(x), dphi_dx=dphi,
                          X_mag=0.5 * dphi * dphi)

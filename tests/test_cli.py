@@ -480,13 +480,13 @@ def test_wall_scan_stops_at_the_first_wall_over_the_cap(monkeypatch):
     refuses a 1000 x 1000 scan by its 1249th wall, before the others are
     built."""
     calls = []
-    count = cli.grid_points
+    grid = cli.default_grid
 
     def counted(wall):
         calls.append(wall)
-        return count(wall)
+        return grid(wall)
 
-    monkeypatch.setattr(cli, "grid_points", counted)
+    monkeypatch.setattr(cli, "default_grid", counted)
     doc = dict(BASE_DOC, wall={"b": 1.0, "L": 1.0},
                scan={"b": _range(1.0, 2.0, 1000), "L": _range(1.0, 2.0, 1000)})
     with pytest.raises(ConfigError, match="the profile files together"):

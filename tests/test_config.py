@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from kessence.config import (
+    MAX_ROWS,
     PRESET_NAMES,
     EvolveSpec,
     OutputSpec,
@@ -293,6 +294,16 @@ def test_every_documented_scan_name_parses():
                    (("X", -1.0), ("eps0", 0.0), ("b", 0.5), ("L", 0.5),
                     ("X0", 0.5), ("F2", 0.5))}
     assert sorted(parse_config(json.dumps(doc)).scan) == sorted(doc["scan"])
+
+
+def test_row_caps_are_the_classes_own():
+    # a library caller gets the count caps without parsing a config
+    with pytest.raises(ValueError, match=f"row cap MAX_ROWS={MAX_ROWS}"):
+        ScanRange(1.0, 2.0, MAX_ROWS + 1)
+    with pytest.raises(ValueError, match=f"row cap MAX_ROWS={MAX_ROWS}"):
+        StepControl(n_output=MAX_ROWS + 1)
+    assert ScanRange(1.0, 2.0, MAX_ROWS).count == MAX_ROWS
+    assert StepControl(n_output=MAX_ROWS).n_output == MAX_ROWS
 
 
 def test_scan_range_validation():

@@ -352,6 +352,21 @@ def test_guarded_div_scalar_and_array():
     assert math.isnan(q) and not pole
 
 
+def test_values_and_pole_take_the_inputs_broadcast_shape():
+    # array inputs over scalar denominator inputs: both results are arrays
+    cs2, pole = cs2_thinwall_approx(np.geomspace(1e-8, 10, 40), 1e-2)
+    assert cs2.shape == pole.shape == (40,) and not pole.any()
+    cs2, pole = sound_speed_perturbed(
+        KineticModel(F2=1.0, X0=np.array([1.0, 2.0]), eps0=0.0))
+    assert cs2.shape == pole.shape == (2,)
+    assert pole.tolist() == [True, True] and np.isnan(cs2).all()
+    q, pole = guarded_div(np.array([1.0, 2.0]), 0.0, 1.0)
+    assert q.shape == pole.shape == (2,) and pole.all() and np.isnan(q).all()
+    # scalar inputs give numpy scalars
+    q, pole = guarded_div(1.0, 4.0, 1.0)
+    assert type(q) is np.float64 and type(pole) is np.bool_
+
+
 def test_closed_forms_return_values_and_pole():
     # Each form over a grid that holds its poles: the array call equals the
     # scalar calls element by element, and NaN sits exactly at the poles.

@@ -14,7 +14,6 @@ from kessence.walls import (
     WallProfile,
     check_derivative,
     default_grid,
-    grid_points,
     sample,
     sample_sharpness,
     sharpness,
@@ -89,16 +88,18 @@ def test_sample_matches_pointwise_evaluation():
 
 
 def test_default_grid_resolves_wall():
-    lo, hi, spacing = default_grid(WallProfile(b=10.0, L=9.0))
-    assert (lo, hi) == (-18.0, 18.0)
-    assert spacing == pytest.approx(0.01)
-    lo, hi, spacing = default_grid(WallProfile(b=0.1, L=2.0))
-    # L/200 binds when the wall is thick
-    assert spacing == pytest.approx(0.01)
-    # grid_points counts the points sample takes
+    # default_grid gives sample's np.linspace arguments (x_min, x_max, points)
+    assert default_grid(WallProfile(b=10.0, L=9.0)) == (-18.0, 18.0, 3601)
+    # 1/(10 b) binds for a steep wall, L/200 when the wall is thick
+    assert np.diff(sample(WallProfile(b=10.0, L=9.0)).x) == pytest.approx(0.01)
+    assert np.diff(sample(WallProfile(b=0.1, L=2.0)).x) == pytest.approx(0.01)
+    # sample takes exactly the grid's points, never sparser than the rule
     for p in (WallProfile(b=10.0, L=9.0), WallProfile(b=100.0, L=9.27),
               WallProfile(b=0.1, L=2.0)):
-        assert grid_points(p) == sample(p).x.size
+        x = sample(p).x
+        assert (x[0], x[-1], x.size) == default_grid(p)
+        spacing = min(1.0 / (10.0 * p.b), p.L / 200.0)
+        assert np.diff(x).max() <= spacing * (1.0 + 1e-9)
 
 
 def test_profile_validation():
@@ -152,8 +153,6 @@ def test_grid_over_row_cap_is_refused(b, L):
     try:
         with pytest.raises(ValueError, match="MAX_ROWS"):
             default_grid(p)
-        with pytest.raises(ValueError, match="MAX_ROWS"):
-            grid_points(p)
         with pytest.raises(ValueError, match="MAX_ROWS"):
             sample(p)
         peak = tracemalloc.get_traced_memory()[1]
