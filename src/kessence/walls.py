@@ -115,8 +115,8 @@ def default_grid(profile: WallProfile) -> tuple[float, float, int]:
     # ceil(4L / spacing) + 1 points, counted without the division that overflows
     if not 4.0 * profile.L <= (MAX_ROWS - 1) * spacing:
         raise ValueError(f"{profile} would sample over MAX_ROWS={MAX_ROWS} points")
-    x_min, x_max = -2.0 * profile.L, 2.0 * profile.L
-    return x_min, x_max, int(math.ceil((x_max - x_min) / spacing)) + 1
+    return (-2.0 * profile.L, 2.0 * profile.L,
+            int(math.ceil(4.0 * profile.L / spacing)) + 1)
 
 
 def sample(profile: WallProfile) -> ProfileSample:
