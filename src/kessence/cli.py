@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -28,6 +27,7 @@ from .config import (
     MAX_ROWS,
     PRESET_NAMES,
     RunConfig,
+    ScanRange,
     load_config,
     preset_config,
 )
@@ -285,33 +285,31 @@ def run_regimes(config: RunConfig):
             raise ConfigError(f"regimes needs a scan.{key} range")
     if "b" not in scan and "X0" not in scan:
         raise ConfigError("regimes needs scan.b or scan.X0")
-    eps_vals = _scan_values(scan, "eps0")
-    F2_vals = _scan_values(scan, "F2")
-    b_vals = L_vals = []
-    if "b" in scan:
-        if "L" in scan:
-            L_vals = _scan_values(scan, "L").tolist()
-        elif config.wall is not None:
-            L_vals = [config.wall.L]
-        else:
+    if "b" in scan and "L" not in scan:
+        if config.wall is None:
             raise ConfigError("b-indexed regime scan needs scan.L or a wall block")
-        b_vals = _scan_values(scan, "b").tolist()
-    X0_vals = _scan_values(scan, "X0").tolist() if "X0" in scan else []
+        scan = {**scan, "L": ScanRange(config.wall.L, config.wall.L, 1)}
+    # Sized from the counts, before any grid array is allocated.
+    n = {key: scan[key].count if key in scan else 0
+         for key in ("b", "L", "X0", "eps0", "F2")}
     _check_rows("the regimes table",
-                (len(b_vals) * len(L_vals) + len(X0_vals))
-                * eps_vals.size * F2_vals.size)
+                (n["b"] * n["L"] + n["X0"]) * n["eps0"] * n["F2"])
+    b_vals, L_vals, X0_vals, eps_vals, F2_vals = (
+        _scan_values(scan, key) if key in scan else np.empty(0) for key in n)
 
-    # One (b, L, X0) block per wall (X0 its scalar kinetic scale: a vectorised
-    # exp may differ in the last bit) or direct X0 value (b and L NAN).
+    # One (b, L, X0) block per wall, b-major, X0 its kinetic scale; then one
+    # per direct X0 value, with b and L NAN.
     with _invalid("wall"):
-        blocks = [(b, L, WallProfile(b=b, L=L).kinetic_scale)
-                  for b in b_vals for L in L_vals]
-    blocks.extend((math.nan, math.nan, X0) for X0 in X0_vals)
+        walls = WallProfile(b=b_vals[:, None], L=L_vals[None, :])
+    nan = np.full(X0_vals.size, np.nan)
+    blocks = [np.concatenate([g.ravel(), tail]) for g, tail in zip(
+        np.broadcast_arrays(walls.b, walls.L, walls.kinetic_scale),
+        (nan, nan, X0_vals))]
 
     # Rows run block -> eps0 -> F2, the order of nested loops over them.
     k, eps0, F2 = (g.ravel() for g in np.meshgrid(
-        np.arange(len(blocks)), eps_vals, F2_vals, indexing="ij"))
-    b, L, X0 = np.array(blocks)[k].T
+        np.arange(blocks[0].size), eps_vals, F2_vals, indexing="ij"))
+    b, L, X0 = (c[k] for c in blocks)
     m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=config.model.F0)
     with np.errstate(all="ignore"):
         w_e, _ = w_perturbed_exact(m)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache
 from typing import Optional, get_type_hints
 
@@ -299,43 +299,30 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-# Presets bundle the standard demonstration cases: the two profile
-# steepnesses (figure1), the L-trio sharpness comparison (figure2), and
-# the reference parameter point F2=1e3, eps0=1e-2, X0=1e3 with F0=-1
-# (paper-point).
+# Presets bundle the standard demonstration cases, one (name, output stem,
+# scan, evolve) row each: the two profile steepnesses (figure1), the L-trio
+# sharpness comparison (figure2), and the reference parameter point
+# F2=1e3, eps0=1e-2, X0=1e3 with F0=-1 (paper-point).
 _REFERENCE_MODEL = KineticModel(F2=1e3, X0=1e3, eps0=1e-2, F0=-1.0)
-
-PRESET_NAMES = ("figure1", "figure2", "paper-point")
+_PRESETS = {name: RunConfig(
+    model=_REFERENCE_MODEL, potential=ConstantPotential(V0=1.0),
+    background=DeSitter(H=1.0), wall=WallProfile(b=10.0, L=9.0), scan=scan,
+    evolve=evolve, output=OutputSpec(directory="out", stem=stem))
+    for name, stem, scan, evolve in (
+        ("figure1", "figure1",
+         {"b": ScanRange(3.0, 10.0, 2), "L": ScanRange(9.0, 9.0, 1)}, None),
+        ("figure2", "figure2",
+         {"b": ScanRange(10.0, 10.0, 1), "L": ScanRange(3.0, 9.0, 3)}, None),
+        ("paper-point", "paper_point",
+         {"X": ScanRange(1e3, 2e3, 101), "X0": ScanRange(1e3, 1e3, 1),
+          "eps0": ScanRange(1e-2, 1e-2, 1), "F2": ScanRange(1e3, 1e3, 1)},
+         EvolveSpec(t_end=3.0, init=initial_state(X=1.05e3))))}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str) -> RunConfig:
-    common = dict(model=_REFERENCE_MODEL,
-                  potential=ConstantPotential(V0=1.0),
-                  background=DeSitter(H=1.0))
-    if name == "figure1":
-        return RunConfig(
-            **common,
-            wall=WallProfile(b=10.0, L=9.0),
-            scan={"b": ScanRange(3.0, 10.0, 2), "L": ScanRange(9.0, 9.0, 1)},
-            output=OutputSpec(directory="out", stem="figure1"),
-        )
-    if name == "figure2":
-        return RunConfig(
-            **common,
-            wall=WallProfile(b=10.0, L=9.0),
-            scan={"b": ScanRange(10.0, 10.0, 1), "L": ScanRange(3.0, 9.0, 3)},
-            output=OutputSpec(directory="out", stem="figure2"),
-        )
-    if name == "paper-point":
-        return RunConfig(
-            **common,
-            wall=WallProfile(b=10.0, L=9.0),
-            scan={"X": ScanRange(1e3, 2e3, 101),
-                  "X0": ScanRange(1e3, 1e3, 1),
-                  "eps0": ScanRange(1e-2, 1e-2, 1),
-                  "F2": ScanRange(1e3, 1e3, 1)},
-            evolve=EvolveSpec(t_end=3.0, init=initial_state(X=1.05e3)),
-            output=OutputSpec(directory="out", stem="paper_point"),
-        )
-    raise ConfigError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    """The named preset, with a scan dict of its own."""
+    if name not in _PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return replace(_PRESETS[name], scan=dict(_PRESETS[name].scan))

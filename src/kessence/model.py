@@ -261,8 +261,9 @@ def cs2_thinwall_approx(X0, eps0):
     """
     if not np.all(eps0 >= 0):
         raise ValueError("cs2_thinwall_approx requires eps0 >= 0")
-    ratio, pole = guarded_div(X0, 2.0 * eps0, 0.0)
-    den = 1.0 + 4.0 * X0 * (1.0 + ratio)
+    with np.errstate(over="ignore", invalid="ignore"):  # den = inf: cs2 = 0
+        ratio, pole = guarded_div(X0, 2.0 * eps0, 0.0)
+        den = 1.0 + 4.0 * X0 * (1.0 + ratio)
     if not np.all((den > 0) | pole):
         raise ValueError("cs2_thinwall_approx denominator must be positive")
     return 1.0 / den, pole

@@ -41,26 +41,38 @@ def _sech2(z):
 @dataclass(frozen=True)
 class WallProfile:
     """Wall pair geometry: steepness b > 0, separation L > 0, with a
-    kinetic scale X_mag(L/2) > 0 and a finite spike bound (pi b)^2."""
+    kinetic scale X_mag(L/2) > 0 and a finite spike bound (pi b)^2.
+
+    b and L may be scalars or numpy arrays that broadcast together, one wall
+    per element: every wall must pass, and `kinetic_scale` holds one value
+    per wall. `default_grid`, `sample` and `sharpness` take a single wall.
+    """
 
     b: float
     L: float
 
     def __post_init__(self):
-        if not self.b > 0:
+        if not np.all(self.b > 0):
             raise ValueError("wall steepness b must be > 0")
-        if not self.L > 0:
+        if not np.all(self.L > 0):
             raise ValueError("wall separation L must be > 0")
-        # (pi b)^2 >= 2 X_mag keeps X_mag pair sums finite; Python floats don't warn
-        steep = math.pi * float(self.b)
-        if not (steep * steep < math.inf and self.kinetic_scale > 0.0):
-            raise ValueError(f"the wall {self} has no usable kinetic scale: "
-                             "X_mag(L/2) must be > 0 and (pi b)^2 finite")
+        # (pi b)^2 >= 2 X_mag keeps X_mag pair sums finite; the rule tests
+        # for overflow and underflow, so neither may warn
+        with np.errstate(all="ignore"):
+            steep = math.pi * self.b
+            usable = (steep * steep < np.inf) & (self.kinetic_scale > 0.0)
+        if not usable.all():
+            i = np.argmin(usable)  # the first unusable wall, in C order
+            b, L = (float(np.broadcast_to(v, usable.shape).flat[i])
+                    for v in (self.b, self.L))
+            raise ValueError(f"the wall WallProfile(b={b!r}, L={L!r}) has no "
+                             "usable kinetic scale: X_mag(L/2) must be > 0 "
+                             "and (pi b)^2 finite")
 
     @cached_property
-    def kinetic_scale(self) -> float:
-        """X_mag(L/2), the spike height at the wall centre (computed once)."""
-        return float(self.kinetic_magnitude(self.L / 2.0))
+    def kinetic_scale(self):
+        """X_mag(L/2), the spike height at each wall centre (computed once)."""
+        return self.kinetic_magnitude(self.L / 2.0)
 
     def phi(self, x):
         """Field value; even in x, phi(0) = 2 pi tanh(b L / 2)."""

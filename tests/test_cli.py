@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -313,6 +314,10 @@ BAD_CONFIGS = [
     _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1e154, 1e154, 1),
                                  "L": _range(1e-154, 1e-154, 1)}},
          "regimes-b-1e154-spike-overflows"),
+    # an unusable wall after a usable one in the b x L grid
+    _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "b": _range(1.0, 1e300, 2),
+                                 "L": _range(9.0, 10.0, 2)}},
+         "regimes-unusable-wall-mid-grid"),
     _bad(2, "wall", {"wall": {"b": 1e200, "L": 1e-196}}, "wall-X_mag-overflows"),
     _bad(2, "wall", {"wall": {"b": 1e-300, "L": 1e5}}, "wall-X_mag-underflows"),
     _bad(2, "wall", {"wall": {"b": 1e154, "L": 1e-154}},
@@ -692,6 +697,36 @@ def test_regimes_b_indexed_rows(tmp_path):
     assert c3[:3] == ["3.0", "9.0", "44.41321980490211"]
     assert c10[:3] == ["10.0", "9.0", "493.4802200544679"]
     assert c10[-1] == "CosmologicalConstant"
+
+
+def test_regimes_names_the_first_unusable_wall(tmp_path, capsys):
+    """A wall grid is checked in one call; the error names the first wall
+    (b-major) that breaks the wall rule, as its own scalar check would."""
+    doc = dict(BASE_DOC, scan={**_REGIMES_SCAN, "b": _range(1.0, 1e300, 2),
+                               "L": _range(9.0, 10.0, 2)})
+    assert _run(["regimes", "--config", _write(tmp_path, doc), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid wall: the wall WallProfile(b=1e+300, L=9.0) "
+        "has no usable kinetic scale: X_mag(L/2) must be > 0 and "
+        "(pi b)^2 finite\n")
+
+
+def test_regimes_grid_over_row_cap_is_refused_before_allocation():
+    """A 1e6 x 1e6 wall grid is refused from the scan counts alone."""
+    doc = dict(BASE_DOC, scan={**_REGIMES_SCAN,
+                               "b": _range(1.0, 2.0, MAX_ROWS),
+                               "L": _range(1.0, 2.0, MAX_ROWS)})
+    config = parse_config(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="1000000000000 rows, over the "
+                                              "row cap"):
+            next(cli.run_regimes(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("b", [10.0, 11.0, 12.0, 13.0])

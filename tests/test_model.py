@@ -220,6 +220,18 @@ def test_thinwall_cs2_requires_positive_eps0():
         cs2_thinwall_approx(1.0, -0.1)
 
 
+def test_thinwall_cs2_overflowing_denominator_is_zero_without_warning():
+    # 4 X0 (1 + X0/(2 eps0)) overflows to inf, and 1/inf = 0.0 is the value;
+    # the suite turns a numpy overflow warning into an error
+    assert cs2_thinwall_approx(1e200, 1e-100) == (0.0, False)
+    assert cs2_thinwall_approx(1e300, 1e-300) == (0.0, False)
+    cs2, pole = cs2_thinwall_approx(np.array([1e200, 1e3, 1e308, 1.0]),
+                                    np.array([1e-100, 1e-2, 1e308, 0.0]))
+    assert cs2[[0, 2]].tolist() == [0.0, 0.0]
+    assert cs2[1] == cs2_thinwall_approx(1e3, 1e-2)[0] and np.isnan(cs2[3])
+    assert pole.tolist() == [False, False, False, True]
+
+
 @given(st.floats(min_value=1e-6, max_value=1e3, **_pos),
        st.floats(min_value=1.001, max_value=1e3, **_pos),
        st.floats(min_value=1e-6, max_value=1e2, **_pos))

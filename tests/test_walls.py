@@ -114,6 +114,10 @@ def test_profile_validation():
         (1.0, 5e-324),
         (1.0, 1e-20),
         (1e-300, 1e5),
+        # an array of walls is refused when any one of them is
+        (np.array([1.0, 0.0]), 1.0),
+        (1.0, np.array([1.0, np.nan])),
+        (np.array([3.0, 1e308]), np.array([1.0, 1.0])),
     ]:
         # a ValueError, not a numpy RuntimeWarning (which the suite makes
         # an error too)
@@ -143,6 +147,39 @@ def test_kinetic_scale_is_computed_once(monkeypatch):
     built = len(calls)
     assert p.kinetic_scale == p.kinetic_scale > 0.0
     assert len(calls) == built
+
+
+def test_array_walls_match_scalar_walls_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    b, L = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 20_000))
+    scales = WallProfile(b=b, L=L).kinetic_scale
+    scalar = np.array([WallProfile(b=bi, L=Li).kinetic_scale
+                       for bi, Li in zip(b.tolist(), L.tolist())])
+    assert scales.shape == b.shape
+    assert np.array_equal(scales.view(np.int64), scalar.view(np.int64))
+
+
+def test_array_walls_broadcast_b_major():
+    b, L = np.array([3.0, 10.0]), np.array([3.0, 6.0, 9.0])
+    scales = WallProfile(b=b[:, None], L=L[None, :]).kinetic_scale
+    assert scales.shape == (2, 3)
+    assert scales.ravel().tolist() == [WallProfile(b=bi, L=Li).kinetic_scale
+                                       for bi in b for Li in L]
+
+
+@pytest.mark.parametrize("b,L,named", [
+    # the first unusable wall in C order is named, as a scalar wall would be
+    (np.array([1.0, 1e300, 1e308]), 9.0, "b=1e+300, L=9.0"),
+    (np.array([[1.0], [1e300]]), np.array([[9.0, 10.0]]), "b=1e+300, L=9.0"),
+    (2.0, np.array([9.0, 1e-20]), "b=2.0, L=1e-20"),
+    (np.array([1e-300, 1.0]), np.array([1e5, 1.0]), "b=1e-300, L=100000.0"),
+])
+def test_array_walls_name_the_first_unusable_wall(b, L, named):
+    with pytest.raises(ValueError) as err:
+        WallProfile(b=b, L=L)
+    assert str(err.value) == (f"the wall WallProfile({named}) has no usable "
+                              "kinetic scale: X_mag(L/2) must be > 0 and "
+                              "(pi b)^2 finite")
 
 
 @pytest.mark.parametrize("b,L", [(1e10, 9.0), (1.0, 1e308)])
