@@ -100,11 +100,6 @@ def _check_rows(table: str, rows: int) -> None:
             f"MAX_ROWS={MAX_ROWS}")
 
 
-def _scan_values(scan: dict, key: str) -> np.ndarray:
-    r = scan[key]
-    return np.linspace(r.min, r.max, r.count)
-
-
 def _model_line(m: KineticModel) -> str:
     return "model: " + " ".join(f"{f.name}={_fmt(getattr(m, f.name))}"
                                 for f in fields(m))
@@ -128,7 +123,7 @@ def run_eos_scan(config: RunConfig):
     scan = config.scan or {}
     if "X" not in scan:
         raise ConfigError("eos-scan needs a scan.X range {min, max, count}")
-    X = _scan_values(scan, "X")
+    X = scan["X"].values()
     m = config.model
 
     with np.errstate(all="ignore"):
@@ -177,8 +172,8 @@ def run_wall(config: RunConfig):
     if config.wall is None:
         raise ConfigError("wall command needs a wall block {b, L}")
     scan = config.scan or {}
-    b_vals = _scan_values(scan, "b").tolist() if "b" in scan else [config.wall.b]
-    L_vals = _scan_values(scan, "L").tolist() if "L" in scan else [config.wall.L]
+    b_vals = scan["b"].values().tolist() if "b" in scan else [config.wall.b]
+    L_vals = scan["L"].values().tolist() if "L" in scan else [config.wall.L]
     stem = config.output.stem
     profiles, rows = {}, 0  # profile file name -> wall, b-major
     with _invalid("wall"):
@@ -295,7 +290,7 @@ def run_regimes(config: RunConfig):
     _check_rows("the regimes table",
                 (n["b"] * n["L"] + n["X0"]) * n["eps0"] * n["F2"])
     b_vals, L_vals, X0_vals, eps_vals, F2_vals = (
-        _scan_values(scan, key) if key in scan else np.empty(0) for key in n)
+        scan[key].values() if key in scan else np.empty(0) for key in n)
 
     # One (b, L, X0) block per wall, b-major, X0 its kinetic scale; then one
     # per direct X0 value, with b and L NAN.

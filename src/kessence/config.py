@@ -4,12 +4,13 @@ The file format is plain JSON whose schema is the domain classes: the
 keys of a block are the fields of the class it builds (KineticModel,
 WallProfile, ScanRange, OutputSpec, the potential or background class
 its `kind` names, StepControl inside `evolve`), required when the field
-has no default, each read as its field's type.  Parsing is strict:
-unknown keys raise ConfigError, as do missing required keys, values of
-the wrong type, non-finite numbers and out-of-domain values, which are
-the classes' own ValueErrors; so a parsed RunConfig holds only values
-that passed every domain check.  serialize_config() writes each block's
-fields in field order, so parse(serialize(c)) == c and repeated
+has no default, each read as its field's type.  Parsing is strict: a
+document that is not UTF-8 JSON raises ConfigError, as do unknown,
+repeated or missing keys, values of the wrong type, non-finite numbers,
+out-of-domain values (the classes' own ValueErrors) and an evolve window
+whose a(t_end) is not a finite float; so a parsed RunConfig holds only
+values that passed every domain check.  serialize_config() writes each
+block's fields in field order, so parse(serialize(c)) == c and repeated
 serializations are byte-identical.
 """
 
@@ -21,6 +22,8 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache
 from typing import Optional, get_type_hints
+
+import numpy as np
 
 from .errors import MAX_ROWS, ConfigError, _invalid
 from .evolution import (
@@ -66,6 +69,9 @@ class ScanRange:
         if not 0.0 <= self.max - self.min <= sys.float_info.max / 2:
             raise ValueError(f"need min <= max and max - min at most half the "
                              f"largest float, got [{self.min}, {self.max}]")
+
+    def values(self) -> np.ndarray:
+        return np.linspace(self.min, self.max, self.count)
 
 
 # Scan names the commands read, with the domain of their values.  A range
@@ -129,35 +135,21 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
+# Per field type: the JSON values it accepts and the noun of its message.
+_READ_AS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+            str: ((str,), "a string"), bool: ((bool,), "true/false")}
+
+
+def _value(obj: dict, key: str, where: str, kind: type):
+    """obj[key] as the value of a `kind` field; a float must be finite."""
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+    accepts, noun = _READ_AS[kind]
+    if not isinstance(v, accepts) or (isinstance(v, bool) and kind is not bool):
+        raise ConfigError(f"{where}.{key} must be {noun}, got {v!r}")
     # NaN fails the comparison; an int too large for a float compares exactly.
-    if not abs(v) <= sys.float_info.max:
+    if kind is float and not abs(v) <= sys.float_info.max:
         raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
-    return float(v)
-
-
-def _integer(obj: dict, key: str, where: str) -> int:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    return v
-
-
-def _string(obj: dict, key: str, where: str) -> str:
-    v = obj[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{where}.{key} must be a string, got {v!r}")
-    return v
-
-
-def _boolean(obj: dict, key: str, where: str) -> bool:
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be true/false, got {v!r}")
-    return v
+    return kind(v)
 
 
 # The kind names of the potential and background blocks, with their classes.
@@ -170,20 +162,19 @@ _KIND_OF = {cls: kind for kinds in _KINDS.values() for kind, cls in kinds.items(
 
 @cache
 def _schema(cls) -> tuple:
-    """The reader of each key of a `cls` block, in field order (a field's
-    type picks its reader), and the required keys: fields without a default."""
-    read_as = {float: _number, int: _integer, str: _string}
+    """The type of each key of a `cls` block, in field order, and the
+    required keys: fields without a default."""
     types = get_type_hints(cls)
-    return ({f.name: read_as[types[f.name]] for f in fields(cls)},
+    return ({f.name: types[f.name] for f in fields(cls)},
             tuple(f.name for f in fields(cls) if f.default is MISSING))
 
 
 def _block(obj, where: str, cls):
     """The `cls` that a block whose keys are the fields of `cls` describes."""
-    readers, required = _schema(cls)
-    _require_keys(obj, where, required, readers)
+    types, required = _schema(cls)
+    _require_keys(obj, where, required, types)
     with _invalid(where):
-        return cls(**{key: readers[key](obj, key, where) for key in obj})
+        return cls(**{key: _value(obj, key, where, types[key]) for key in obj})
 
 
 def _kind_block(obj, where: str):
@@ -192,7 +183,7 @@ def _kind_block(obj, where: str):
     kinds = _KINDS[where]
     _require_keys(obj, where, ("kind",),
                   [key for cls in kinds.values() for key in _schema(cls)[0]])
-    kind = _string(obj, "kind", where)
+    kind = _value(obj, "kind", where, str)
     if kind not in kinds:
         raise ConfigError(f"{where}.kind must be "
                           f"{' or '.join(map(repr, kinds))}, got {kind!r}")
@@ -219,20 +210,19 @@ def _parse_scan(obj) -> dict:
 
 
 def _parse_evolve(obj, background: BackgroundSpec) -> EvolveSpec:
-    # The state keys are initial_state's arguments, renamed; the step
+    # The state keys name initial_state's arguments, two renamed; the step
     # control keys are the fields of StepControl.
+    state_args = {"phi": "phi", "X": "X", "phidot": "phidot", "t_start": "t",
+                  "a_start": "a"}
     control_keys = _schema(StepControl)[0]
     _require_keys(obj, "evolve", ("t_end",),
-                  ("phi", "X", "phidot", "t_start", "a_start", "kinetic_only",
-                   *control_keys))
-    t_end = _number(obj, "t_end", "evolve")
-    state = {arg: _number(obj, key, "evolve")
-             for key, arg in (("phi", "phi"), ("X", "X"), ("phidot", "phidot"),
-                              ("t_start", "t"), ("a_start", "a"))
-             if key in obj}
+                  (*state_args, "kinetic_only", *control_keys))
+    t_end = _value(obj, "t_end", "evolve", float)
+    state = {arg: _value(obj, key, "evolve", float)
+             for key, arg in state_args.items() if key in obj}
     control = _block({key: obj[key] for key in control_keys if key in obj},
                      "evolve", StepControl)
-    kinetic_only = (_boolean(obj, "kinetic_only", "evolve")
+    kinetic_only = (_value(obj, "kinetic_only", "evolve", bool)
                     if "kinetic_only" in obj else True)
     with _invalid("evolve"):
         init = initial_state(**state)
@@ -241,11 +231,22 @@ def _parse_evolve(obj, background: BackgroundSpec) -> EvolveSpec:
                           kinetic_only=kinetic_only)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if a key repeats (json.loads keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse a JSON config document.  Strict: unknown keys are errors."""
+    """Parse a JSON config document; unknown or repeated keys are errors."""
     try:
-        root = json.loads(text)
-    except json.JSONDecodeError as exc:
+        root = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or an integer past Python's digit limit, or too deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require_keys(root, "config", ("model", "potential", "background"),
                   ("wall", "scan", "evolve", "output"))
@@ -267,7 +268,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 

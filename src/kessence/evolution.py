@@ -197,11 +197,8 @@ class Trajectory:
     @classmethod
     def build(cls, model: KineticModel, t, a, phi, phidot, X) -> "Trajectory":
         """Assemble a trajectory, deriving w, cs2 and Q from X and a."""
-        t = np.asarray(t, dtype=float)
-        a = np.asarray(a, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        phidot = np.asarray(phidot, dtype=float)
-        X = np.asarray(X, dtype=float)
+        t, a, phi, phidot, X = (np.asarray(v, dtype=float)
+                                for v in (t, a, phi, phidot, X))
         w, _ = eos_w(model, X)
         cs2, _ = sound_speed(model, X)
         F_X = eval_F_X(model, X)
@@ -235,6 +232,12 @@ def _check_window(background: BackgroundSpec, init: FieldState,
         raise ValueError(
             "PowerLaw background needs t > 0 over the whole window; "
             f"got init.t={init.t}")
+    # a(t_end) must be a float; float64 overflows to inf (a float power raises)
+    with np.errstate(over="ignore"):
+        a_end = init.a * background.scale_ratio(np.float64(t_end), init.t)
+    if not np.isfinite(a_end):
+        raise ValueError(f"a overflows the largest float before "
+                         f"t_end={t_end!r} (a={init.a!r} at t={init.t!r})")
 
 
 def _integrate(model: KineticModel, background: BackgroundSpec,

@@ -330,6 +330,13 @@ BAD_CONFIGS = [
     _bad(2, "wall", {"wall": {"b": 10.0, "L": 3.0},
                      "scan": {"b": _range(10.0, 10.00001, 3)}},
          "wall-profile-names-collide"),
+    # a(t_end) past the largest float: 1e4 e-folds of de Sitter, and a
+    # power law whose (3/1)^p overflows at p = 1e6
+    _bad(2, "evolve", {"evolve": {**_EVOLVE, "t_end": 1e4}},
+         "evolve-desitter-a-overflows"),
+    _bad(2, "evolve", {"background": {"kind": "powerlaw", "p": 1e6},
+                       "evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 3.0}},
+         "evolve-powerlaw-a-overflows"),
     # fewer distinct float times in the window than n_output
     _bad(2, "evolve", {"evolve": {**_EVOLVE, "t_start": 1.0,
                                   "t_end": 1.000000000000001}},
@@ -376,6 +383,64 @@ def test_bad_config_exits_two(tmp_path, capsys, code, command, doc):
     # nothing was written, inside --out or next to it
     assert not out.exists()
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# Config files the reader must refuse, as raw bytes, each with a fragment
+# of its message.  _EOS_TEXT alone is a valid eos-scan run, so the one
+# fault put into it is what fails each row.
+_EOS_TEXT = json.dumps({**BASE_DOC, "scan": {"X": _range(1e3, 2e3, 3)}})
+RAW_CONFIGS = [
+    pytest.param(b"\xff" + _EOS_TEXT.encode(), "cannot read config",
+                 id="not-utf-8"),
+    pytest.param(("[" * 1100 + "]" * 1100).encode(), "not valid JSON",
+                 id="nested-1100-deep"),
+    pytest.param(_EOS_TEXT.replace("1000.0", "1" * 4301, 1).encode(),
+                 "not valid JSON", id="integer-4301-digits"),
+    pytest.param(('{"scan": {"X": {"min": 1.0, "max": 2.0, "count": 2}}, '
+                  + _EOS_TEXT[1:]).encode(), "key 'scan' appears twice",
+                 id="repeated-top-level-key"),
+    pytest.param(_EOS_TEXT.replace('"F2": ', '"F2": 1.0, "F2": ', 1).encode(),
+                 "key 'F2' appears twice", id="repeated-model-key"),
+]
+
+
+@pytest.mark.parametrize("raw,fragment", RAW_CONFIGS)
+def test_unreadable_config_exits_two(tmp_path, capsys, raw, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    out = tmp_path / "o"
+    assert _run(["eos-scan", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert fragment in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def _run_fuzz_case(command, raw):
+    """main() on the config bytes `raw` in a fresh directory: a documented
+    exit code, no file when the run failed, else files only under --out."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        cfg = os.path.join(root, "cfg.json")
+        with open(cfg, "wb") as fh:
+            fh.write(raw)
+        out = os.path.join(root, "o", "sub")
+        os.chdir(root)  # a stray relative write would land in root
+        try:
+            code = main([command, "--config", cfg, "--out", out, "--quiet"])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 4)
+        written = sorted(os.listdir(root))
+        if code in (2, 3):
+            assert written == ["cfg.json"]
+        else:
+            assert written in (["cfg.json"], ["cfg.json", "o"])
+            if code == 0:
+                assert os.listdir(os.path.join(root, "o")) == ["sub"]
+                assert all(os.path.isfile(os.path.join(out, name))
+                           for name in os.listdir(out))
 
 
 # Fuzz gate on main(): shipped configs, presets and the BAD_CONFIGS rows,
@@ -441,27 +506,57 @@ def _mutate(doc, mutations):
 @given(st.sampled_from(_fuzz_seeds()), st.lists(_MUTATION, max_size=3))
 def test_main_fuzz_exits_documented_and_writes_only_out(seed, mutations):
     command, doc = seed
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as root:
-        cfg = os.path.join(root, "cfg.json")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            json.dump(_mutate(doc, mutations), fh)
-        out = os.path.join(root, "o", "sub")
-        os.chdir(root)  # a stray relative write would land in root
-        try:
-            code = main([command, "--config", cfg, "--out", out, "--quiet"])
-        finally:
-            os.chdir(cwd)
-        assert code in (0, 2, 3, 4)
-        written = sorted(os.listdir(root))
-        if code in (2, 3):
-            assert written == ["cfg.json"]
-        else:
-            assert written in (["cfg.json"], ["cfg.json", "o"])
-            if code == 0:
-                assert os.listdir(os.path.join(root, "o")) == ["sub"]
-                assert all(os.path.isfile(os.path.join(out, name))
-                           for name in os.listdir(out))
+    _run_fuzz_case(command, json.dumps(_mutate(doc, mutations)).encode())
+
+
+# Fuzz gate on the document text: a valid config that every command runs,
+# truncated, with a byte put in or taken out, with a key written twice, or
+# nested in lists.  Its counts and values are small, so that a digit put in
+# gives a small table and an evolve window short of the a^6 overflow.
+_TEXT_FUZZ_DOC = {
+    **BASE_DOC,
+    "wall": {"b": 1.0, "L": 1.0},
+    "scan": {"X": _range(1e3, 2e3, 3), "b": _range(1.0, 3.0, 2),
+             "L": _range(1.0, 1.0, 1), "eps0": _range(0.0, 0.01, 2),
+             "F2": _range(1.0, 1e3, 2)},
+    "evolve": {"t_end": 1.0, "X": 1050.0, "n_output": 5},
+}
+_OFFSET = st.integers(0, 10 ** 6)
+_TEXT_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), _OFFSET),
+    st.tuples(st.just("insert"), _OFFSET,
+              st.sampled_from(b'09-.e,:"{}[] \xff')),
+    st.tuples(st.just("delete"), _OFFSET),
+    st.tuples(st.just("repeat"), st.sampled_from((None, *_TEXT_FUZZ_DOC)),
+              _OFFSET),
+    st.tuples(st.just("nest"), st.sampled_from((1, 100, 1100, 5000))))
+
+
+def _mutate_text(doc, mutation):
+    """The bytes of `doc` as JSON, changed by one mutation."""
+    op, arg, *rest = mutation
+    raw = json.dumps(doc).encode()
+    if op == "nest":
+        return b"[" * arg + raw + b"]" * arg
+    if op == "repeat":  # the key of block `arg` (the root for None), twice
+        obj = doc if arg is None else doc[arg]
+        key = list(obj)[rest[0] % len(obj)]
+        text = json.dumps(obj)
+        twice = f"{{{json.dumps(key)}: {json.dumps(obj[key])}, {text[1:]}"
+        return json.dumps(doc).replace(text, twice, 1).encode()
+    i = arg % (len(raw) + 1)
+    if op == "truncate":
+        return raw[:i]
+    if op == "insert":
+        return raw[:i] + bytes(rest) + raw[i:]
+    return raw[:i] + raw[i + 1:]  # delete
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(st.sampled_from(tuple(cli._COMMANDS)), _TEXT_MUTATION)
+def test_main_text_fuzz_exits_documented_and_writes_only_out(command,
+                                                            mutation):
+    _run_fuzz_case(command, _mutate_text(_TEXT_FUZZ_DOC, mutation))
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,12 @@ OUT_OF_DOMAIN = [
     ({"evolve": {**_EVOLVE, "X": 1e308}}, "invalid evolve: X = phidot"),
     ({"background": {"kind": "powerlaw", "p": 0.5},
       "evolve": {**_EVOLVE, "t_start": 0.0}}, "invalid evolve: PowerLaw"),
+    # a(t_end) past the largest float: de Sitter H = 1 from a = 1 reaches it
+    # after ln(max float) = 709.78 e-folds
+    ({"evolve": {**_EVOLVE, "t_end": 709.79}}, "invalid evolve: a overflows"),
+    ({"background": {"kind": "powerlaw", "p": 1e6},
+      "evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 3.0}},
+     "invalid evolve: a overflows"),
     # a wall WallProfile rejects, read by no command of this config
     ({"wall": {"b": 1e308, "L": 9.0}}, "invalid wall: the wall .* has no usable"),
     ({"wall": {"b": 1e-300, "L": 1e5}}, "invalid wall: the wall .* has no usable"),
@@ -317,6 +323,8 @@ def test_scan_range_validation():
     assert ScanRange(-half / 2, half / 2, 7).max == half / 2
     r = ScanRange(2.0, 2.0, 1)
     assert (r.min, r.max, r.count) == (2.0, 2.0, 1)
+    assert ScanRange(1.0, 2.0, 3).values().tolist() == [1.0, 1.5, 2.0]
+    assert ScanRange(2.0, 5.0, 1).values().tolist() == [2.0]  # count=1 pins min
 
 
 def test_output_spec_stem_rule():
@@ -340,3 +348,5 @@ def test_evolve_spec_validation():
     assert (e.init.t, e.init.a, e.init.phi, e.init.phidot) == (0.0, 1.0, 0.0, 2.0)
     assert e.control == StepControl(rel_tol=1e-8, abs_tol=1e-10, n_output=201)
     assert e.kinetic_only is True
+    doc["evolve"] = {"t_end": 709.78, "X": 2}  # a(t_end) just below max float
+    assert parse_config(json.dumps(doc)).evolve.t_end == 709.78

@@ -113,6 +113,13 @@ def test_window_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         evolve_kinetic_only(REF, BG, initial_state(X=1.05e3, t=1.0),
                             1.000000000000001)
+    # a(t_end) past the largest float: exp on float64, and a power that
+    # raises OverflowError on Python floats
+    with pytest.raises(ValueError, match="overflows the largest float"):
+        evolve_kinetic_only(REF, BG, initial_state(X=1.05e3), 1e4)
+    with pytest.raises(ValueError, match="overflows the largest float"):
+        evolve_kinetic_only(REF, PowerLaw(p=1e6),
+                            initial_state(X=1.05e3, t=1.0), 3.0)
 
 
 # ---------------------------------------------------------------------------
