@@ -126,24 +126,32 @@ def run_eos_scan(config: RunConfig):
     X = scan["X"].values()
     m = config.model
 
+    w_e, w_pole = eos_w(m, X)
+    cs2_e, cs2_pole = sound_speed(m, X)
     with np.errstate(all="ignore"):
-        w_e, w_pole = eos_w(m, X)
-        cs2_e, cs2_pole = sound_speed(m, X)
-        # The perturbed closed forms describe the state X = X0 + eps0, so
-        # each row reads its own eps0 = X - X0 (0 on rows below X0, whose
-        # perturbed cells are NAN).
-        eps = X - m.X0
-        above, below = eps > 0.0, ~(eps >= 0.0)
-        pm = KineticModel(F2=m.F2, X0=m.X0, eps0=np.where(above, eps, 0.0),
-                          F0=m.F0)
-        w_p, w_p_pole = w_perturbed_exact(pm)
-        cs2_p, _ = sound_speed_perturbed(pm)
-        w_p[below] = np.nan
         F, F_X = eval_F(m, X), eval_F_X(m, X)
+        eps = X - m.X0
+    # The perturbed closed forms describe the state X = X0 + eps0, so each
+    # row reads its own eps0 = X - X0 (0 on rows below X0, whose perturbed
+    # cells are NAN).
+    above, below = eps > 0.0, ~(eps >= 0.0)
+    pm = KineticModel(F2=m.F2, X0=m.X0, eps0=np.where(above, eps, 0.0),
+                      F0=m.F0)
+    w_p, w_p_pole = w_perturbed_exact(pm)
+    cs2_p, _ = sound_speed_perturbed(pm)
+    w_p[below] = np.nan
+    # A NaN that is not a pole comes from a term that overflowed.
     notes = _notes(X.size, [
         (w_pole, "w_exact guard: 2*X*F_X - F ~ 0"),
-        (cs2_pole, "cs2_exact guard: pole at X = X0/3"),
+        (np.isnan(w_e) & ~w_pole,
+         "w_exact overflow: 2*X*F_X or F is not finite"),
+        (cs2_pole & (F_X != 0.0), "cs2_exact guard: pole at X = X0/3"),
+        (cs2_pole & (F_X == 0.0), "cs2_exact guard: F_X = 2*X*F_XX = 0 (0/0)"),
+        (np.isnan(cs2_e) & ~cs2_pole,
+         "cs2_exact overflow: F_X or 2*X*F_XX is not finite"),
         (w_p_pole & ~below, "w_perturbed_eq14 guard: denominator ~ 0"),
+        (np.isnan(w_p) & ~w_p_pole & ~below,
+         "w_perturbed_eq14 overflow: a denominator term is not finite"),
         (eps == 0.0, "X = X0: perturbed cs2 undefined at eps0 = 0"),
         (below, "X < X0: perturbed closed forms need X >= X0"),
     ])
@@ -306,11 +314,10 @@ def run_regimes(config: RunConfig):
         np.arange(blocks[0].size), eps_vals, F2_vals, indexing="ij"))
     b, L, X0 = (c[k] for c in blocks)
     m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=config.model.F0)
-    with np.errstate(all="ignore"):
-        w_e, _ = w_perturbed_exact(m)
-        cs2_e, _ = sound_speed_perturbed(m)
-        w_p, _ = w_thinwall_approx(X0, eps0, F2)
-        cs2_p, _ = cs2_thinwall_approx(X0, eps0)
+    w_e, _ = w_perturbed_exact(m)
+    cs2_e, _ = sound_speed_perturbed(m)
+    w_p, _ = w_thinwall_approx(X0, eps0, F2)
+    cs2_p, _ = cs2_thinwall_approx(X0, eps0)
     label = classify_regimes(w_p, cs2_p)
 
     report = ["regime discrepancy report", f"rows: {k.size}"]

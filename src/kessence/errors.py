@@ -22,7 +22,8 @@ class InvalidGrid(KessenceError):
 
 
 class SingularMassMatrix(KessenceError):
-    """The coefficient multiplying the field acceleration vanished."""
+    """The coefficient multiplying the field acceleration vanished or
+    overflowed."""
 
 
 class StepFailure(KessenceError):

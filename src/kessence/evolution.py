@@ -208,10 +208,15 @@ class Trajectory:
 
 
 def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
-    """phidd coefficient F_X + 2 X F_XX, guarded against degeneracy."""
+    """phidd coefficient F_X + 2 X F_XX, guarded against overflow and
+    degeneracy."""
     F_X = eval_F_X(model, X)
     curv = 2.0 * X * eval_F_XX(model, X)
     coef = F_X + curv
+    if not math.isfinite(coef):
+        raise SingularMassMatrix(
+            f"F_X + 2*X*F_XX overflowed at t={t}, X={X}; "
+            "the field acceleration is undetermined there")
     if is_pole(coef, max(abs(F_X), abs(curv))):
         raise SingularMassMatrix(
             f"F_X + 2*X*F_XX vanished at t={t}, X={X}; "

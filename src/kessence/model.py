@@ -26,7 +26,10 @@ numpy arrays and broadcast. Every rational-function pole goes through one
 rule, `is_pole`, and every closed form returns (values, pole) from
 `guarded_div`, with NaN in values where pole is True: both take the
 broadcast shape of the inputs (numpy scalars for scalar inputs). The caller
-decides whether a pole is fatal or a NAN cell.
+decides whether a pole is fatal or a NAN cell. `guarded_div` takes the
+denominator's two terms and holds it against the larger of their
+magnitudes; where that scale overflowed, the value is NaN and not a pole.
+The closed forms emit no numpy warnings.
 """
 
 from __future__ import annotations
@@ -40,19 +43,27 @@ import numpy as np
 # is treated as degenerate (these are exact poles of rational functions).
 DEN_GUARD = 1e-12
 
+# The closed forms are quiet: an overflow or a 0/0 shows as NaN, not as a
+# numpy warning. One errstate serves them all; as a decorator it may nest.
+_QUIET = np.errstate(all="ignore")
+
 
 def is_pole(den, scale):
     """The pole rule: |den| <= DEN_GUARD * scale."""
     return abs(den) <= DEN_GUARD * scale
 
 
-def guarded_div(num, den, scale):
-    """(num / den, pole) under the pole rule `is_pole(den, scale)`, NaN where
-    pole is True; both take the inputs' broadcast shape (numpy scalars for
-    scalar inputs)."""
-    pole = is_pole(den, scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(pole, np.nan, np.divide(num, den))
+@_QUIET
+def guarded_div(num, t1, t2):
+    """(num / (t1 + t2), pole) under the pole rule `is_pole(den, scale)`,
+    scale being the larger of |t1| and |t2|. A term that overflowed does not
+    make its denominator vanish: where the scale is not finite the value is
+    NaN and not a pole. NaN where pole is True; both take the inputs'
+    broadcast shape (numpy scalars for scalar inputs)."""
+    den, scale = t1 + t2, np.maximum(np.abs(t1), np.abs(t2))
+    finite = scale < np.inf
+    pole = finite & is_pole(den, scale)
+    q = np.where(pole | ~finite, np.nan, np.divide(num, den))
     return q[()], np.broadcast_to(pole, q.shape)[()]
 
 
@@ -184,6 +195,7 @@ def density(model: KineticModel, potential: PotentialSpec, phi, X):
     return potential.value(phi) * (2.0 * X * eval_F_X(model, X) - eval_F(model, X))
 
 
+@_QUIET
 def eos_w(model: KineticModel, X):
     """(w, pole): equation of state w = F / (2 X F_X - F); V cancels.
 
@@ -193,9 +205,10 @@ def eos_w(model: KineticModel, X):
     """
     F = eval_F(model, X)
     t1 = 2.0 * X * eval_F_X(model, X)
-    return guarded_div(F, t1 - F, np.maximum(np.abs(t1), np.abs(F)))
+    return guarded_div(F, t1, -F)
 
 
+@_QUIET
 def sound_speed(model: KineticModel, X):
     """(cs2, pole): perturbation sound speed cs2 = F_X / (F_X + 2 X F_XX).
 
@@ -204,13 +217,14 @@ def sound_speed(model: KineticModel, X):
     """
     F_X = eval_F_X(model, X)
     t2 = 2.0 * X * eval_F_XX(model, X)
-    return guarded_div(F_X, F_X + t2, np.maximum(np.abs(F_X), np.abs(t2)))
+    return guarded_div(F_X, F_X, t2)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms at the perturbed kinetic state X = X0 + eps0
 # ---------------------------------------------------------------------------
 
+@_QUIET
 def sound_speed_perturbed(model: KineticModel):
     """(cs2, pole): cs2 at X = X0 + eps0 in closed form, 1 / (3 + 2 X0/eps0).
 
@@ -221,6 +235,7 @@ def sound_speed_perturbed(model: KineticModel):
     return 1.0 / (3.0 + ratio), pole
 
 
+@_QUIET
 def w_perturbed_exact(model: KineticModel):
     """(w, pole): w at X = X0 + eps0 in closed form.
 
@@ -232,13 +247,14 @@ def w_perturbed_exact(model: KineticModel):
     e = model.eps0
     F = model.F0 + model.F2 * e * e
     t = 4.0 * (model.X0 + e) * model.F2 * e
-    return guarded_div(-F, F - t, np.maximum(np.abs(F), np.abs(t)))
+    return guarded_div(-F, F, -t)
 
 
 # ---------------------------------------------------------------------------
 # Thin-wall limit approximations (kept distinct from the exact forms)
 # ---------------------------------------------------------------------------
 
+@_QUIET
 def w_thinwall_approx(X0, eps0, F2):
     """(w, pole): simplified steep-wall estimate w = -1 / (1 - 4 X0 eps0 / F2).
 
@@ -248,9 +264,11 @@ def w_thinwall_approx(X0, eps0, F2):
     the regime table can show both. Its pole is 4 X0 eps0 = F2.
     """
     t = 4.0 * X0 * eps0 / F2
-    return guarded_div(-1.0, 1.0 - t, np.maximum(1.0, np.abs(t)))
+    # -1 / (1 - t) as 1 / (t - 1): the same doubles, and no negated copy of t
+    return guarded_div(1.0, t, -1.0)
 
 
+@_QUIET
 def cs2_thinwall_approx(X0, eps0):
     """(cs2, pole): wall-limit sound speed 1 / (1 + 4 X0 (1 + X0/(2 eps0))).
 
@@ -261,9 +279,9 @@ def cs2_thinwall_approx(X0, eps0):
     """
     if not np.all(eps0 >= 0):
         raise ValueError("cs2_thinwall_approx requires eps0 >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):  # den = inf: cs2 = 0
-        ratio, pole = guarded_div(X0, 2.0 * eps0, 0.0)
-        den = 1.0 + 4.0 * X0 * (1.0 + ratio)
+    # 2 eps0 as eps0 + eps0, whose terms stay finite for every finite eps0
+    ratio, pole = guarded_div(X0, eps0, eps0)
+    den = 1.0 + 4.0 * X0 * (1.0 + ratio)  # inf gives cs2 = 0
     if not np.all((den > 0) | pole):
         raise ValueError("cs2_thinwall_approx denominator must be positive")
     return 1.0 / den, pole
@@ -273,6 +291,7 @@ def cs2_thinwall_approx(X0, eps0):
 # Dilution scaling solution
 # ---------------------------------------------------------------------------
 
+@_QUIET
 def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     """Sound speed along the scaling solution.
 
@@ -289,8 +308,7 @@ def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'first_order'")
     X = s.X0 * (1.0 + decay)
-    return guarded_div(X - s.X0, 3.0 * X - s.X0,
-                       np.maximum(np.abs(3.0 * X), np.abs(s.X0)))[0]
+    return guarded_div(X - s.X0, 3.0 * X, -s.X0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ def _run(args):
     return main(list(args))
 
 
+def _range(lo, hi, count):
+    return {"min": lo, "max": hi, "count": count}
+
+
 # ---------------------------------------------------------------------------
 # eos-scan
 # ---------------------------------------------------------------------------
@@ -193,6 +197,53 @@ def test_eos_scan_spot_check_against_library(tmp_path):
     assert "rows with notes: 8" in summary
 
 
+# The notes that may explain a NAN cell of each closed-form column.
+_NAN_NOTES = {"w_exact": ("w_exact",), "cs2_exact": ("cs2_exact",),
+              "w_perturbed_eq14": ("w_perturbed_eq14", "perturbed closed forms"),
+              "cs2_perturbed_eq11": ("perturbed cs2", "perturbed closed forms")}
+
+
+@pytest.mark.parametrize("model,X", [
+    # w's term 2*X*F_X overflows at X = 1e154; the first row is X = X0
+    ({"F2": 1.0, "X0": 1.0, "F0": -1.0}, _range(1.0, 1e154, 2)),
+    # F itself overflows (the eos_scan.json model)
+    ({"F2": 1e3, "X0": 1e3}, _range(1.7e159, 1e160, 4)),
+    # F2 = 0: cs2 is 0/0 on every row; rows below, at and above X0
+    ({"F2": 0.0, "X0": 1.0}, _range(0.5, 2.0, 4)),
+    # the cs2 pole X = X0/3 = 1 among rows below X0
+    ({"F2": 1.0, "X0": 3.0}, _range(0.5, 1.5, 3)),
+], ids=["X-1e154", "X-1e160", "F2-zero", "cs2-pole"])
+def test_eos_scan_every_nan_cell_has_a_true_note(tmp_path, model, X):
+    doc = {**BASE_DOC, "model": model, "scan": {"X": X}}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["eos-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+    m = KineticModel(**model)
+    header, *rows = _rows(out / "run_eos_scan.csv")
+    names = header.split(",")
+    for row in rows:
+        cells = dict(zip(names, row.split(",")))
+        note = cells["note"]
+        for name, texts in _NAN_NOTES.items():
+            if cells[name] == "NAN":
+                assert any(t in note for t in texts), (name, row)
+        # A guard note ("~ 0", or a pole) only where its terms are finite.
+        x, F, F_X = (float(cells[k]) for k in ("X", "F", "F_X"))
+        e = x - m.X0
+        with np.errstate(all="ignore"):
+            terms = {"w_exact guard": (2.0 * x * F_X, F),
+                     "cs2_exact guard": (F_X, 4.0 * m.F2 * x),
+                     "w_perturbed_eq14 guard": (
+                         m.F0 + m.F2 * e * e, 4.0 * (m.X0 + e) * m.F2 * e)}
+        for guard, pair in terms.items():
+            if guard in note:
+                assert np.isfinite(pair).all(), (guard, row)
+        # the pole at X0/3 needs F_X != 0; at F_X = 0 the quotient is 0/0
+        if "pole at X = X0/3" in note:
+            assert F_X != 0.0, row
+
+
 def test_regimes_rows_against_library(tmp_path):
     # Both blocks start at eps0 = 0; with F0 = 7 the exact w has its pole
     # at X0 = eps0 = F2 = 1 and the thin-wall w at X0 = eps0 = 1, F2 = 4.
@@ -236,10 +287,10 @@ def test_regimes_rows_against_library(tmp_path):
                                              best_row))
 
 
-def _bad(code, command, block_updates, case_id):
+def _bad(code, command, block_updates, case_id, fragment=""):
     doc = json.loads(json.dumps(BASE_DOC))
     doc.update(block_updates)
-    return pytest.param(code, command, doc, id=case_id)
+    return pytest.param(code, command, doc, fragment, id=case_id)
 
 
 _EVOLVE = {"t_end": 1.0, "X": 1050.0}
@@ -247,13 +298,9 @@ _REGIMES_SCAN = {"eps0": {"min": 0.1, "max": 0.1, "count": 1},
                  "F2": {"min": 10.0, "max": 10.0, "count": 1}}
 
 
-def _range(lo, hi, count):
-    return {"min": lo, "max": hi, "count": count}
-
-
 # Runs that must fail before anything is written: (exit code, command,
-# config).  Exit 2 is a config the command cannot run, exit 3 a numeric
-# failure.
+# config, a fragment of the message).  Exit 2 is a config the command
+# cannot run, exit 3 a numeric failure.
 BAD_CONFIGS = [
     # the thin-wall w divides by F2, so a scan through F2 = 0 is an error
     _bad(2, "regimes", {"scan": {**_REGIMES_SCAN, "X0": _range(1.0, 1.0, 1),
@@ -366,13 +413,18 @@ BAD_CONFIGS = [
     # X = X0/3 makes the phidd coefficient singular
     _bad(3, "evolve", {"model": {"F2": 10.0, "X0": 3.0},
                        "evolve": {"t_end": 1.0, "X": 1.0}},
-         "evolve-singular-coefficient"),
+         "evolve-singular-coefficient", "vanished"),
+    # both terms of the phidd coefficient overflow: not a vanishing one
+    _bad(3, "evolve", {"model": {"F2": 1e10, "X0": 1e300},
+                       "evolve": {"t_end": 1.0, "X": 1.05e300}},
+         "evolve-coefficient-overflows", "overflow"),
 ]
 
 
-@pytest.mark.parametrize("code,command,doc", BAD_CONFIGS)
-def test_bad_config_exits_two(tmp_path, capsys, code, command, doc):
-    """Each row exits with its code, prints one line and writes nothing."""
+@pytest.mark.parametrize("code,command,doc,fragment", BAD_CONFIGS)
+def test_bad_config_exits_two(tmp_path, capsys, code, command, doc, fragment):
+    """Each row exits with its code, prints one line that holds its
+    fragment, and writes nothing."""
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o" / "sub"
     assert _run([command, "--config", cfg, "--out", str(out),
@@ -380,6 +432,7 @@ def test_bad_config_exits_two(tmp_path, capsys, code, command, doc):
     err = capsys.readouterr().err
     prefix = {2: "config error: ", 3: "numeric failure: "}[code]
     assert err.startswith(prefix) and err.count("\n") == 1
+    assert fragment in err
     # nothing was written, inside --out or next to it
     assert not out.exists()
     assert os.listdir(tmp_path) == ["cfg.json"]

@@ -6,6 +6,7 @@ independent of the float evaluation order used in the library.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -352,16 +353,33 @@ def test_classify_array_form_matches_scalar(rng):
 # ---------------------------------------------------------------------------
 
 def test_guarded_div_scalar_and_array():
-    assert guarded_div(1.0, 4.0, 1.0) == (0.25, False)
-    q, pole = guarded_div(1.0, 1e-13, 1.0)
+    # guarded_div(num, t1, t2) divides by t1 + t2 and holds it against
+    # the larger of |t1| and |t2|
+    assert guarded_div(1.0, 3.0, 1.0) == (0.25, False)
+    q, pole = guarded_div(1.0, 1.0, -1.0 + 1e-13)
     assert math.isnan(q) and pole
+    # the third den is 2**-37 (about 7.3e-12) of its scale: small, but
+    # above DEN_GUARD, so it is divided by and is not a pole
     q, pole = guarded_div(np.array([1.0, 2.0, 3.0]),
-                          np.array([2.0, 0.0, 1e-13]), np.array([1.0, 1.0, 1e-2]))
-    assert q[0] == 0.5 and np.isnan(q[1]) and q[2] == 3.0 / 1e-13
+                          np.array([1.5, 1.0, 1.0]),
+                          np.array([0.5, -1.0, -(1.0 - 2.0**-37)]))
+    assert q[0] == 0.5 and np.isnan(q[1]) and q[2] == 3.0 * 2.0**37
     assert pole.tolist() == [False, True, False]
     # a NaN denominator is not a pole: the NaN passes through
     q, pole = guarded_div(1.0, math.nan, 1.0)
     assert math.isnan(q) and not pole
+
+
+def test_guarded_div_overflow_is_not_a_pole():
+    # A term that overflowed gives NaN, not a pole. A sum of two finite
+    # terms that overflows is not caught: it divides by inf and gives 0.0
+    # with no note, a wrong value that the open long-double recompute of
+    # ROADMAP item 2 is to cover.
+    q, pole = guarded_div(np.array([1.0, 1.0, 1.0]),
+                          np.array([math.inf, math.inf, 1e308]),
+                          np.array([-math.inf, -1.0, 1e308]))
+    assert np.isnan(q[:2]).all() and q[2] == 0.0
+    assert not pole.any()
 
 
 def test_values_and_pole_take_the_inputs_broadcast_shape():
@@ -372,10 +390,10 @@ def test_values_and_pole_take_the_inputs_broadcast_shape():
         KineticModel(F2=1.0, X0=np.array([1.0, 2.0]), eps0=0.0))
     assert cs2.shape == pole.shape == (2,)
     assert pole.tolist() == [True, True] and np.isnan(cs2).all()
-    q, pole = guarded_div(np.array([1.0, 2.0]), 0.0, 1.0)
+    q, pole = guarded_div(np.array([1.0, 2.0]), 0.0, 0.0)
     assert q.shape == pole.shape == (2,) and pole.all() and np.isnan(q).all()
     # scalar inputs give numpy scalars
-    q, pole = guarded_div(1.0, 4.0, 1.0)
+    q, pole = guarded_div(1.0, 3.0, 1.0)
     assert type(q) is np.float64 and type(pole) is np.bool_
 
 
@@ -407,6 +425,80 @@ def test_closed_forms_return_values_and_pole():
             assert isinstance(value, float)
             assert isinstance(at_pole, (bool, np.bool_)) and at_pole == p
             assert math.isnan(value) if p else value == v
+
+
+# Magnitudes over ±[1e-300, 1e300]: products of them overflow and underflow.
+_MAG = st.floats(min_value=1e-300, max_value=1e300, **_pos)
+_SIGNED = _MAG | _MAG.map(lambda v: -v)
+
+
+def _model_of(F2, X0, F0, eps0=0.0):
+    return KineticModel(F2=F2, X0=X0, F0=F0, eps0=eps0)
+
+
+def _scaling_cs2(X0, eps1, a1, a):
+    """scaling_cs2_of_a, with the pole rule applied to its denominator."""
+    cs2 = scaling_cs2_of_a(ScalingSolution(X0=X0[0], eps1=eps1[0], a1=a1[0]), a)
+    with np.errstate(all="ignore"):
+        return cs2, guarded_div(1.0, *_scaling_terms(X0, eps1, a1, a))[1]
+
+
+def _scaling_terms(X0, eps1, a1, a):
+    X = X0 * (1.0 + eps1 * (a / a1) ** -3.0)
+    return 3.0 * X, -X0
+
+
+def _w_terms(F2, X0, F0, X):
+    m = _model_of(F2, X0, F0)
+    return 2.0 * X * eval_F_X(m, X), -eval_F(m, X)
+
+
+def _cs2_terms(F2, X0, F0, X):
+    m = _model_of(F2, X0, F0)
+    return eval_F_X(m, X), 2.0 * X * eval_F_XX(m, X)
+
+
+def _perturbed_w_terms(F2, X0, F0, e):
+    F = F0 + F2 * e * e
+    return F, -4.0 * (X0 + e) * F2 * e
+
+
+# (closed form, strategies of its arguments, its denominator's two terms)
+_FORMS = {
+    "eos_w": (lambda F2, X0, F0, X: eos_w(_model_of(F2, X0, F0), X),
+              (_MAG, _MAG, _SIGNED, _SIGNED), _w_terms),
+    "sound_speed": (lambda F2, X0, F0, X: sound_speed(_model_of(F2, X0, F0), X),
+                    (_MAG, _MAG, _SIGNED, _SIGNED), _cs2_terms),
+    "w_perturbed_exact": (
+        lambda F2, X0, F0, e: w_perturbed_exact(_model_of(F2, X0, F0, e)),
+        (_MAG, _MAG, _SIGNED, _MAG), _perturbed_w_terms),
+    "sound_speed_perturbed": (
+        lambda F2, X0, F0, e: sound_speed_perturbed(_model_of(F2, X0, F0, e)),
+        (_MAG, _MAG, _SIGNED, _MAG), lambda F2, X0, F0, e: (e, 0.0)),
+    "w_thinwall_approx": (w_thinwall_approx, (_SIGNED, _SIGNED, _SIGNED),
+                          lambda X0, e, F2: (1.0, -4.0 * X0 * e / F2)),
+    "cs2_thinwall_approx": (cs2_thinwall_approx, (_MAG, _MAG),
+                            lambda X0, e: (e, e)),
+    "scaling_cs2_of_a": (_scaling_cs2, (_MAG, _SIGNED, _MAG, _MAG),
+                         _scaling_terms),
+}
+
+
+@pytest.mark.parametrize("name", _FORMS)
+@given(data=st.data())
+def test_closed_forms_over_the_float_range(name, data):
+    # No call warns, a pole never has a non-finite term, and every NaN is
+    # a pole or has a non-finite term (an overflow, not a vanishing
+    # denominator).
+    form, strategies, terms = _FORMS[name]
+    args = [np.array([data.draw(s)]) for s in strategies]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, pole = form(*args)
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(np.broadcast_arrays(*terms(*args))).all(axis=0)
+    assert not (pole & ~finite).any()
+    assert (~np.isnan(values) | pole | ~finite).all()
 
 
 # ---------------------------------------------------------------------------
