@@ -202,9 +202,7 @@ def run_wall(config: RunConfig):
     for name, wall in profiles.items():
         s = sample(wall)
         yield name, ["x,phi,dphi_dx,X_mag"], [s.x, s.phi, s.dphi_dx, s.X_mag]
-        rep = sample_sharpness(s)
-        sharp_rows.append((wall.b, wall.L, rep.peak_value, rep.peak_positions[1],
-                           rep.half_width, rep.integral))
+        sharp_rows.append((wall.b, wall.L, *sample_sharpness(s)))
 
     sharp_name = f"{stem}_sharpness.csv"
     yield (sharp_name, ["b,L,peak_value,peak_position,half_width,integral"],

@@ -252,14 +252,18 @@ def _integrate(model: KineticModel, background: BackgroundSpec,
     start-state checks; returns the report times, a(t) and the states."""
     _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
-    sol = solve_ivp(
-        rhs, (init.t, t_end), y0, method="DOP853",
-        rtol=control.rel_tol / _SOLVER_MARGIN,
-        atol=control.abs_tol / _SOLVER_MARGIN,
-        t_eval=np.linspace(init.t, t_end, control.n_output),
-        dense_output=False)
+    with np.errstate(all="ignore"):  # a state that overflows fails below
+        sol = solve_ivp(
+            rhs, (init.t, t_end), y0, method="DOP853",
+            rtol=control.rel_tol / _SOLVER_MARGIN,
+            atol=control.abs_tol / _SOLVER_MARGIN,
+            t_eval=np.linspace(init.t, t_end, control.n_output),
+            dense_output=False)
     if not sol.success:
         raise StepFailure(f"integration failed: {sol.message}")
+    t_bad = sol.t[~np.isfinite(sol.y).all(axis=0)]
+    if t_bad.size:
+        raise StepFailure(f"the field left the float range by t={t_bad[0]}")
     return sol.t, init.a * background.scale_ratio(sol.t, init.t), sol.y
 
 
@@ -302,7 +306,7 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     Multiplying the kinetic equation by phid turns it into
     du/dt = -6 H u (X0 + u)/(2 X0 + 3 u), which resolves the decaying
     deviation u to full relative precision.  phid is reconstructed as
-    sign(phidot(0)) * sqrt(2 (X0 + u)); the sign cannot change while
+    sign(phidot(0)) * sqrt(2 (X0 + u)); the sign cannot change as long as
     X > 0.  The returned trajectory carries the native X = X0 + u so its
     Q column conserves to the integrator tolerance, not to the (much
     worse) precision of a phidot round trip.

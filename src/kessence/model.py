@@ -300,9 +300,10 @@ def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     eps1/2 * (a/a1)^-3, which has no pole. For |eps1| << 1 the two agree to
     O(eps1^2).
     """
+    a = np.asarray(a, dtype=float)
     if not np.all(a > 0):
         raise ValueError("scale factor a must be > 0")
-    decay = s.eps1 * (a / s.a1) ** -3.0
+    decay = s.eps1 * np.power(a / s.a1, -3.0)  # a float a takes the array loop
     if mode == "first_order":
         return 0.5 * decay
     if mode != "exact":

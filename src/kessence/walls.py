@@ -103,8 +103,9 @@ class ProfileSample:
 
 
 class SharpnessReport(NamedTuple):
+    """One row of the sharpness table after its b and L columns."""
     peak_value: float
-    peak_positions: tuple[float, float]
+    peak_position: float
     half_width: float
     integral: float
 
@@ -147,43 +148,37 @@ def sharpness(profile: WallProfile) -> SharpnessReport:
 
 
 def sample_sharpness(s: ProfileSample) -> SharpnessReport:
-    """Delta-sequence metrics of the kinetic spikes in a profile sample.
-
-    Returns the peak  value of X_mag, the two peak locations, the full
-    width at half maximum of the positive-x peak (linear interpolation of
-    the half-level crossings), and the trapezoidal integral of X_mag over
-    the grid. The grid must straddle x = 0.
+    """Delta-sequence metrics of the kinetic spikes in a profile sample: the
+    peak value of X_mag and its x > 0 position, that spike's full width at
+    half maximum, and the trapezoidal integral of X_mag over the grid. Each
+    half-level crossing interpolates from the nearest point below half
+    toward the spike, or is the grid edge where that side has no such point.
+    The grid must straddle x = 0.
     """
     pos = s.x > 0
     if not pos.any() or pos.all():
         raise InvalidGrid("sharpness grid must straddle x = 0 (walls sit at +-L/2)")
-    i_right = np.flatnonzero(pos)[np.argmax(s.X_mag[pos])]
-    i_left = np.argmax(s.X_mag[~pos])  # negative-x block starts at index 0
-    peak_value = float(s.X_mag[i_right])
-
+    i_peak = np.flatnonzero(pos)[np.argmax(s.X_mag[pos])]
+    peak_value = float(s.X_mag[i_peak])
     half = 0.5 * peak_value
-    x_lo = _crossing(s.x, s.X_mag, i_right, half, -1)
-    x_hi = _crossing(s.x, s.X_mag, i_right, half, +1)
-    integral = float(np.trapezoid(s.X_mag, s.x))
+    below = np.flatnonzero(s.X_mag < half)
+    k = np.searchsorted(below, i_peak)  # below[k - 1] < i_peak < below[k]
+    x_lo = _crossing(s, below[k - 1], +1, half) if k > 0 else s.x[0]
+    x_hi = _crossing(s, below[k], -1, half) if k < below.size else s.x[-1]
     return SharpnessReport(
         peak_value=peak_value,
-        peak_positions=(float(s.x[i_left]), float(s.x[i_right])),
-        half_width=x_hi - x_lo,
-        integral=integral,
+        peak_position=float(s.x[i_peak]),
+        half_width=float(x_hi - x_lo),
+        integral=float(np.trapezoid(s.X_mag, s.x)),
     )
 
 
-def _crossing(x, y, i_peak, level, direction):
-    """Walk from the peak until y drops below level; interpolate the crossing."""
-    i = i_peak
-    while 0 < i < len(x) - 1 and y[i + direction] >= level:
-        i += direction
-    j = i + direction
-    if j < 0 or j >= len(x):
-        return float(x[i])
-    # linear interpolation between (x[i], y[i]) and (x[j], y[j])
+def _crossing(s: ProfileSample, j, inward, level):
+    """Where X_mag crosses level between the point j below it and the
+    point j + inward, on the spike's side, by linear interpolation."""
+    x, y, i = s.x, s.X_mag, j + inward
     frac = (y[i] - level) / (y[i] - y[j])
-    return float(x[i] + frac * (x[j] - x[i]))
+    return x[i] + frac * (x[j] - x[i])
 
 
 def check_derivative(profile: WallProfile, x: float, h: float) -> DerivativeCheck:

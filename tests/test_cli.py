@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from kessence import cli
 from kessence.cli import _fmt, main, run_wall
@@ -414,6 +415,12 @@ BAD_CONFIGS = [
     _bad(3, "evolve", {"model": {"F2": 10.0, "X0": 3.0},
                        "evolve": {"t_end": 1.0, "X": 1.0}},
          "evolve-singular-coefficient", "vanished"),
+    # a(1e308) = 1e154 is finite, but phi grows like phidot t past the
+    # largest float
+    _bad(3, "evolve", {"background": {"kind": "powerlaw", "p": 0.5},
+                       "evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 1e308,
+                                  "n_output": 2}},
+         "evolve-field-leaves-float-range", "float range"),
     # both terms of the phidd coefficient overflow: not a vanishing one
     _bad(3, "evolve", {"model": {"F2": 1e10, "X0": 1e300},
                        "evolve": {"t_end": 1.0, "X": 1.05e300}},
@@ -696,6 +703,21 @@ def test_wall_doubling_ratio(tmp_path):
     assert peak10 / peak5 == pytest.approx(4.0, rel=1e-2)
     assert w5 / w10 == pytest.approx(2.0, rel=2e-2)
     assert i10 / i5 == pytest.approx(2.0, rel=1e-2)
+
+
+def test_wall_overlapping_walls_half_width(tmp_path):
+    """At b L = 0.3 the x > 0 spike sits on the grid edge x = 2L, so its
+    half width runs from the half-maximum crossing to that edge."""
+    cfg = _write(tmp_path, dict(BASE_DOC, wall={"b": 0.3, "L": 1.0}))
+    out = tmp_path / "o"
+    assert _run(["wall", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = _rows(out / "run_sharpness.csv")
+    assert rows[0] == SHARPNESS_HEADER and len(rows) == 2
+    b, L, peak, position, half_width, _ = map(float, rows[1].split(","))
+    assert (b, L, position) == (0.3, 1.0, 2.0)
+    p = WallProfile(b=0.3, L=1.0)
+    x_lo = brentq(lambda x: p.kinetic_magnitude(x) - 0.5 * peak, 0.0, 2.0)
+    assert half_width == pytest.approx(2.0 - x_lo, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,14 @@ def test_divergent_log_slope_is_step_failure():
                     initial_state(phi=0.0, X=2.0), 1.0)
 
 
+def test_field_leaving_the_float_range_is_step_failure():
+    # a(1e308) = 1e154 passes the window check; phi ~ phidot t does not fit
+    with pytest.raises(StepFailure, match=r"float range by t=1e\+308$"):
+        evolve_kinetic_only(KineticModel(F2=1e3, X0=1e3), PowerLaw(p=0.5),
+                            initial_state(X=1050.0, t=1.0), 1e308,
+                            StepControl(n_output=2))
+
+
 # ---------------------------------------------------------------------------
 # exact stationary solutions
 # ---------------------------------------------------------------------------

@@ -530,6 +530,25 @@ def test_scaling_cs2_pole_guarded():
     assert math.isnan(scaling_cs2_of_a(s, 1.0))
 
 
+def test_scaling_cs2_scalar_takes_the_array_path():
+    """A float a gives the bits of a one-element array, and an (a/a1)^-3
+    that overflows gives NaN (exact) or inf (first order), not an
+    OverflowError from Python's float power."""
+    s = ScalingSolution(X0=1.0, eps1=1.0, a1=1.0)
+    assert math.isnan(scaling_cs2_of_a(s, 1e-300))
+    assert scaling_cs2_of_a(s, 1e-300, mode="first_order") == math.inf
+    rng = np.random.default_rng(0)
+    pairs = (10.0 ** rng.uniform(-150.0, 150.0, size=(20_000, 2))).tolist()
+    for mode in ("exact", "first_order"):
+        scalar, array = [], []
+        for a, a1 in pairs:
+            s = ScalingSolution(X0=1.0, eps1=0.5, a1=a1)
+            scalar.append(scaling_cs2_of_a(s, a, mode))
+            array.append(scaling_cs2_of_a(s, np.array([a]), mode)[0])
+        assert np.array_equal(np.array(scalar).view(np.int64),
+                              np.array(array).view(np.int64))
+
+
 def test_scaling_cs2_matches_pointwise_form():
     s = ScalingSolution(X0=40.0, eps1=0.07, a1=1.5)
     a = np.geomspace(1.5, 150.0, 64)

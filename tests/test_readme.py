@@ -1,9 +1,12 @@
-"""The README's library quick tour runs and prints what its comments say."""
+"""The README's library quick tour runs and prints what its comments say,
+and the CSV headers it lists are the ones the commands write."""
 
 import os
 import re
 import subprocess
 import sys
+
+from kessence.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -44,3 +47,23 @@ def test_readme_quick_tour_prints_its_comments():
     assert len(printed) == len(expected) == 2
     for got, want in zip(printed, expected):
         assert len(got) == len(want) and all(map(_agrees, got, want)), (got, want)
+
+
+def test_readme_output_headers_are_the_written_headers(tmp_path):
+    """The header lines listed under "Output files" are exactly the first
+    lines of the CSVs the four commands write."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = re.search(r"\n## Output files\n(.*?)\n## ", fh.read(),
+                            re.S).group(1)
+    listed = [line.strip() for line in section.splitlines()
+              if line.startswith("    ")]
+    for command, preset in [("wall", "figure1"), ("eos-scan", "paper-point"),
+                            ("evolve", "paper-point"),
+                            ("regimes", "paper-point")]:
+        assert main([command, "--preset", preset, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    written = set()
+    for path in tmp_path.glob("*.csv"):
+        with open(path, encoding="utf-8") as fh:
+            written.add(fh.readline().rstrip("\n"))
+    assert len(listed) == 5 and sorted(listed) == sorted(written)

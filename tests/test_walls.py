@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from kessence.errors import InvalidGrid
 from kessence.walls import (
@@ -205,7 +206,7 @@ def test_grid_over_row_cap_is_refused(b, L):
 def test_sharpness_reference_wall():
     r = sharpness(WallProfile(b=10.0, L=9.0))
     assert r.peak_value == pytest.approx(50.0 * math.pi ** 2, rel=1e-9)
-    assert r.peak_positions == (-4.5, 4.5)
+    assert r.peak_position == 4.5
     # FWHM of the sech^4 spike: 2 arccosh(2^{1/4}) / b
     assert r.half_width == pytest.approx(2.0 * math.acosh(2.0 ** 0.25) / 10.0,
                                          rel=1e-2)
@@ -216,7 +217,7 @@ def test_sharpness_reference_wall():
 def test_sharpness_moderate_wall():
     r = sharpness(WallProfile(b=3.0, L=9.0))
     assert r.peak_value == pytest.approx(44.41321980490211, rel=1e-12)
-    assert r.peak_positions == (-4.5, 4.5)
+    assert r.peak_position == 4.5
 
 
 def test_sharpness_delta_sequence_ratios():
@@ -247,17 +248,40 @@ def test_sharpness_of_a_written_sample():
         sample_sharpness(half)
 
 
+def _half_width_oracle(p, r):
+    """The x > 0 spike's full width at half maximum, from the crossings of
+    X_mag(x) = peak / 2 that brentq finds between the two grid points that
+    bracket each, or the grid edge where X_mag stays above half."""
+    x = sample(p).x
+
+    def f(xi):
+        return p.kinetic_magnitude(xi) - 0.5 * r.peak_value
+
+    i = int(np.flatnonzero(x == r.peak_position)[0])
+    ends = []
+    for step in (-1, 1):
+        j = i
+        while 0 <= j + step < x.size and f(x[j + step]) >= 0.0:
+            j += step
+        k = j + step
+        ends.append(brentq(f, *sorted((x[j], x[k]))) if 0 <= k < x.size
+                    else x[j])
+    return ends[1] - ends[0]
+
+
 @settings(max_examples=40)
-@given(st.floats(min_value=1.0, max_value=12.0, **_f),
-       st.floats(min_value=2.0, max_value=10.0, **_f))
+@given(st.floats(min_value=1e-3, max_value=12.0, **_f),
+       st.floats(min_value=0.1, max_value=10.0, **_f))
+@example(0.3, 1.0)  # overlapping walls: the spike sits on the grid edge 2L
+@example(1e-3, 0.1)
 def test_sharpness_bounds_and_positions(b, L):
-    r = sharpness(WallProfile(b=b, L=L))
+    p = WallProfile(b=b, L=L)
+    r = sharpness(p)
     cap = 0.5 * (math.pi * b) ** 2
     assert 0.0 < r.peak_value <= cap * (1.0 + 1e-12)
-    left, right = r.peak_positions
-    assert abs(right - 0.5 * L) <= 1.0 / b + 0.1
-    assert abs(left + 0.5 * L) <= 1.0 / b + 0.1
-    assert r.half_width > 0.0
+    assert 0.0 < r.peak_position <= 2.0 * L
+    assert abs(r.peak_position - 0.5 * L) <= 1.0 / b + 0.1
+    assert r.half_width == pytest.approx(_half_width_oracle(p, r), rel=1e-2)
     assert r.integral > 0.0
 
 
