@@ -45,12 +45,12 @@ def main():
             init = initial_state(X=(1.0 + c) * model.X0)
             tr = evolve_kinetic_only(model, background, init, args.t_end,
                                      control)
-            fit = fit_scaling(tr)
+            law, residual = fit_scaling(tr)
             slope = scaling_slope(tr)
             drift = float(np.max(np.abs(tr.Q / tr.Q[0] - 1.0)))
-            fh.write(f"{c!r},{fit.eps1!r},{fit.a1!r},{slope!r},"
-                     f"{fit.max_residual!r},{drift!r}\n")
-            print(f"c={c:9.3e}  eps1={fit.eps1:9.3e}  slope={slope:+.5f}  "
+            fh.write(f"{c!r},{law.eps1!r},{law.a1!r},{slope!r},"
+                     f"{residual!r},{drift!r}\n")
+            print(f"c={c:9.3e}  eps1={law.eps1:9.3e}  slope={slope:+.5f}  "
                   f"Q drift={drift:.2e}")
     print(f"table written to {path}")
 

@@ -49,7 +49,6 @@ from .evolution import (
     FieldState,
     StepControl,
     Trajectory,
-    ScalingFit,
     initial_state,
     evolve_full,
     evolve_kinetic_only,

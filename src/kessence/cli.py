@@ -238,10 +238,10 @@ def run_evolve(config: RunConfig):
         f"rows: {len(tr)}",
     ]
     try:
-        fit = fit_scaling(tr)
-        summary.append(f"fitted eps1 = {_fmt(fit.eps1)}")
-        summary.append(f"fitted a1 = {_fmt(fit.a1)}")
-        summary.append(f"fit max residual = {_fmt(fit.max_residual)}")
+        law, residual = fit_scaling(tr)
+        summary.append(f"fitted eps1 = {_fmt(law.eps1)}")
+        summary.append(f"fitted a1 = {_fmt(law.a1)}")
+        summary.append(f"fit max residual = {_fmt(residual)}")
     except FitDomain as exc:
         summary.append(f"scaling fit not available: {exc}")
     try:
@@ -263,10 +263,12 @@ def run_evolve(config: RunConfig):
         summary.append(f"max absolute Q drift = {_fmt(drift)} (Q(0) = 0)")
     bound = 100.0 * ev.control.rel_tol
     summary.append(f"drift bound (100 * rel_tol) = {_fmt(bound)}")
-    if mode == "full" and not isinstance(config.potential, ConstantPotential):
+    if not isinstance(config.potential, ConstantPotential):
         summary.append(
             "note: Q is a first integral of the constant-V equation only; "
-            "drift is expected with a varying potential")
+            "drift is expected with a varying potential" if mode == "full"
+            else "note: kinetic_only integrates the constant-V equation; "
+            "the configured potential was not used")
     summary.append("conservation: " + ("PASS" if drift <= bound else "FAILED"))
 
     stem = config.output.stem
@@ -314,8 +316,8 @@ def run_regimes(config: RunConfig):
     m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=config.model.F0)
     w_e, _ = w_perturbed_exact(m)
     cs2_e, _ = sound_speed_perturbed(m)
-    w_p, _ = w_thinwall_approx(X0, eps0, F2)
-    cs2_p, _ = cs2_thinwall_approx(X0, eps0)
+    w_p, _ = w_thinwall_approx(m)
+    cs2_p, _ = cs2_thinwall_approx(m)
     label = classify_regimes(w_p, cs2_p)
 
     report = ["regime discrepancy report", f"rows: {k.size}"]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,6 +41,7 @@ from .errors import MAX_ROWS, FitDomain, SingularMassMatrix, StepFailure
 from .model import (
     KineticModel,
     PotentialSpec,
+    ScalingSolution,
     eos_w,
     eval_F,
     eval_F_X,
@@ -56,7 +57,6 @@ __all__ = [
     "FieldState",
     "StepControl",
     "Trajectory",
-    "ScalingFit",
     "initial_state",
     "evolve_full",
     "evolve_kinetic_only",
@@ -332,45 +332,38 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     return Trajectory.build(model, t, a, phi, phidot, X)
 
 
-class ScalingFit(NamedTuple):
-    """Late-time fit X = X0 (1 + eps1 (a/a1)^-3) over the trajectory tail."""
-
-    eps1: float
-    a1: float
-    max_residual: float
-
-
-def fit_scaling(trajectory: Trajectory) -> ScalingFit:
-    """Fit the scaling form to the last FIT_TAIL_FRACTION of a trajectory.
+def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:
+    """Fit the scaling form X = X0 (1 + eps1 (a/a1)^-3) to the last
+    FIT_TAIL_FRACTION of a trajectory; returns (law, max_residual), the
+    law a ScalingSolution with the trajectory's X0.
 
     The slope is held fixed at -3; only the amplitude is free, so the
     least-squares solution is the mean of log(X - X0) + 3 log(a/a1) over
     the tail, with a1 anchored to the first tail sample.  (Only the
     combination eps1 * a1^3 is identified; fixing a1 this way makes the
-    returned pair reproducible.)  max_residual is the worst relative
+    returned law reproducible.)  max_residual is the worst relative
     deviation of X - X0 from the fitted curve.
 
     Raises FitDomain if the tail holds fewer than 10 rows or any tail row
     has X <= X0.
     """
-    n = len(trajectory)
+    n, X0 = len(trajectory), trajectory.model.X0
     n_tail = int(round(FIT_TAIL_FRACTION * n))
     if n_tail < 10:
         raise FitDomain(
             f"need at least 10 rows in the fit tail, got {n_tail} "
             f"(trajectory has {n} rows)")
     a = trajectory.a[n - n_tail:]
-    dev = trajectory.X[n - n_tail:] - trajectory.model.X0
+    dev = trajectory.X[n - n_tail:] - X0
     if np.any(dev <= 0.0):
         raise FitDomain(
             "fit tail contains rows with X <= X0; the scaling form "
             "assumes a positive deviation")
     a1 = float(a[0])
     log_amp = float(np.mean(np.log(dev) + 3.0 * np.log(a / a1)))
-    eps1 = math.exp(log_amp) / trajectory.model.X0
-    fitted = trajectory.model.X0 * eps1 * (a / a1) ** -3.0
-    max_residual = float(np.max(np.abs(dev / fitted - 1.0)))
-    return ScalingFit(eps1=eps1, a1=a1, max_residual=max_residual)
+    law = ScalingSolution(X0=X0, eps1=math.exp(log_amp) / X0, a1=a1)
+    fitted = X0 * law.eps1 * (a / a1) ** -3.0
+    return law, float(np.max(np.abs(dev / fitted - 1.0)))
 
 
 def scaling_slope(trajectory: Trajectory) -> float:

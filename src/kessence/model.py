@@ -28,7 +28,8 @@ rule, `is_pole`, and every closed form returns (values, pole) from
 broadcast shape of the inputs (numpy scalars for scalar inputs). The caller
 decides whether a pole is fatal or a NAN cell. `guarded_div` takes the
 denominator's two terms and holds it against the larger of their
-magnitudes; where that scale overflowed, the value is NaN and not a pole.
+magnitudes; where that scale overflowed, the value is NaN and not a pole,
+and where only their sum overflows, it rescales them by a power of two.
 The closed forms emit no numpy warnings.
 """
 
@@ -58,12 +59,18 @@ def guarded_div(num, t1, t2):
     """(num / (t1 + t2), pole) under the pole rule `is_pole(den, scale)`,
     scale being the larger of |t1| and |t2|. A term that overflowed does not
     make its denominator vanish: where the scale is not finite the value is
-    NaN and not a pole. NaN where pole is True; both take the inputs'
-    broadcast shape (numpy scalars for scalar inputs)."""
+    NaN and not a pole. Where the scale is finite but t1 + t2 overflows,
+    num, t1 and t2 are first divided by the power of two 2^frexp(scale),
+    which is exact, so the value is the quotient an unbounded exponent
+    would give. NaN where pole is True; both take the inputs' broadcast shape
+    (numpy scalars for scalar inputs)."""
     den, scale = t1 + t2, np.maximum(np.abs(t1), np.abs(t2))
     finite = scale < np.inf
     pole = finite & is_pole(den, scale)
-    q = np.where(pole | ~finite, np.nan, np.divide(num, den))
+    # 1, or 2^-frexp(scale) where finite terms sum past the largest float
+    s = np.where(finite & np.isinf(den),
+                 np.ldexp(1.0, -np.frexp(scale)[1]), 1.0)
+    q = np.where(pole | ~finite, np.nan, np.divide(num * s, t1 * s + t2 * s))
     return q[()], np.broadcast_to(pole, q.shape)[()]
 
 
@@ -255,7 +262,7 @@ def w_perturbed_exact(model: KineticModel):
 # ---------------------------------------------------------------------------
 
 @_QUIET
-def w_thinwall_approx(X0, eps0, F2):
+def w_thinwall_approx(model: KineticModel):
     """(w, pole): simplified steep-wall estimate w = -1 / (1 - 4 X0 eps0 / F2).
 
     Drops the F0 contribution retained by `w_perturbed_exact`; the two
@@ -263,28 +270,22 @@ def w_thinwall_approx(X0, eps0, F2):
     gives -1/0.96 here versus ~ -2.25e-5 exactly). Reported separately so
     the regime table can show both. Its pole is 4 X0 eps0 = F2.
     """
-    t = 4.0 * X0 * eps0 / F2
+    t = 4.0 * model.X0 * model.eps0 / model.F2
     # -1 / (1 - t) as 1 / (t - 1): the same doubles, and no negated copy of t
     return guarded_div(1.0, t, -1.0)
 
 
 @_QUIET
-def cs2_thinwall_approx(X0, eps0):
+def cs2_thinwall_approx(model: KineticModel):
     """(cs2, pole): wall-limit sound speed 1 / (1 + 4 X0 (1 + X0/(2 eps0))).
 
     Strictly decreasing in X0: -> 1 as X0 -> 0+ (thick wall), -> 0 as
     X0 -> inf (thin wall). Not equivalent to the exact `sound_speed`.
-    Its pole is eps0 = 0, where it returns (NaN, True). ValueError for
-    eps0 < 0 or a non-positive denominator.
+    Its pole is eps0 = 0, where it returns (NaN, True).
     """
-    if not np.all(eps0 >= 0):
-        raise ValueError("cs2_thinwall_approx requires eps0 >= 0")
     # 2 eps0 as eps0 + eps0, whose terms stay finite for every finite eps0
-    ratio, pole = guarded_div(X0, eps0, eps0)
-    den = 1.0 + 4.0 * X0 * (1.0 + ratio)  # inf gives cs2 = 0
-    if not np.all((den > 0) | pole):
-        raise ValueError("cs2_thinwall_approx denominator must be positive")
-    return 1.0 / den, pole
+    ratio, pole = guarded_div(model.X0, model.eps0, model.eps0)
+    return 1.0 / (1.0 + 4.0 * model.X0 * (1.0 + ratio)), pole  # inf gives 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ run, then asserts the same condition.
 import filecmp
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,8 +147,8 @@ def test_c02_algebraic_identities(report):
 
 
 def test_c03_reference_point(report):
-    w, w_pole = w_thinwall_approx(1e3, 1e-2, 1e3)
-    cs2_tw, cs2_tw_pole = cs2_thinwall_approx(1e3, 1e-2)
+    w, w_pole = w_thinwall_approx(REF)
+    cs2_tw, cs2_tw_pole = cs2_thinwall_approx(REF)
     cs2_p, cs2_p_pole = sound_speed_perturbed(REF)
     ok = (not (w_pole or cs2_tw_pole or cs2_p_pole)
           and abs(w - (-1.0 / 0.96)) <= 1e-12 * abs(1.0 / 0.96)
@@ -163,8 +164,8 @@ def test_c03_reference_point(report):
 
 def test_c04_thick_wall_limit(report):
     xs = np.geomspace(10.0, 1e-8, 200)  # descending X0
-    vals, pole = cs2_thinwall_approx(xs, 1e-2)
-    thick, thick_pole = cs2_thinwall_approx(1e-3, 1e-2)
+    vals, pole = cs2_thinwall_approx(replace(REF, X0=xs))
+    thick, thick_pole = cs2_thinwall_approx(replace(REF, X0=1e-3))
     ok = (not np.any(pole) and not thick_pole
           and bool(np.all(np.diff(vals) > 0.0))
           and float(vals[-1]) > 1.0 - 1e-6
@@ -235,8 +236,7 @@ def test_c07_dynamics(report):
                                initial_state(X=1.05 * REF.X0), 3.0, control)
     drift = float(np.max(np.abs(traj.Q / traj.Q[0] - 1.0)))
     slope = scaling_slope(traj)
-    fit = fit_scaling(traj)
-    s = ScalingSolution(X0=REF.X0, eps1=fit.eps1, a1=fit.a1)
+    s, _ = fit_scaling(traj)
     n = len(traj)
     tail = slice(n - int(round(0.5 * n)), None)
     cs2_gap = float(np.max(np.abs(

@@ -138,6 +138,20 @@ def test_eos_scan_pole_and_below_extremum_rows(tmp_path):
         assert "X < X0" in c[8]
 
 
+def test_eos_scan_terms_whose_sum_overflows(tmp_path):
+    # 2*X*F_X = 1.44e308 and -F = 6.4e307 are finite, but their sum is
+    # not: both w columns hold the true w, not a silent -0.0 from num/inf
+    doc = {**BASE_DOC, "model": {"F2": 1.0, "X0": 1.0, "F0": -1e308},
+           "scan": {"X": _range(6e153, 6e153, 1)}}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["eos-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header, row = _rows(out / "run_eos_scan.csv")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["w_exact"] == cells["w_perturbed_eq14"] == "-0.3076923076923076"
+    assert cells["regime"] == "DarkEnergyMix" and cells["note"] == ""
+
+
 def _eos_row(m, X):
     """One eos-scan row from scalar library calls."""
     w_e, w_pole = eos_w(m, X)
@@ -172,9 +186,9 @@ def _regimes_row(b, L, X0, eps0, F2, F0):
     """One regimes row (as cells) from scalar library calls."""
     m = KineticModel(F2=F2, X0=X0, eps0=eps0, F0=F0)
     w_e, _ = w_perturbed_exact(m)
-    w_p, _ = w_thinwall_approx(X0, eps0, F2)
+    w_p, _ = w_thinwall_approx(m)
     cs2_e, _ = sound_speed_perturbed(m)
-    cs2_p, _ = cs2_thinwall_approx(X0, eps0)
+    cs2_p, _ = cs2_thinwall_approx(m)
     return [b, L, X0, eps0, F2, w_e, w_p, cs2_e, cs2_p,
             classify_regimes(w_p, cs2_p).item()]
 
@@ -813,6 +827,23 @@ def test_evolve_full_quadratic_notes_varying_potential(tmp_path):
     assert "mode: full" in summary
     assert any("Q is a first integral of the constant-V equation only"
                in s for s in summary)
+
+
+def test_evolve_kinetic_only_notes_the_unused_potential(tmp_path):
+    out = tmp_path / "o"
+    for kind, potential in (("quadratic", {"kind": "quadratic", "m2": 1e-4}),
+                            ("constant", {"kind": "constant", "V0": 2.0})):
+        doc = {**BASE_DOC, "potential": potential, "evolve": _EVOLVE,
+               "output": {"directory": "out", "stem": kind}}
+        cfg = _write(tmp_path, doc)
+        assert _run(["evolve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    quadratic = _rows(out / "quadratic_evolve_summary.txt")
+    assert "mode: kinetic_only" in quadratic
+    assert ("note: kinetic_only integrates the constant-V equation; "
+            "the configured potential was not used") in quadratic
+    assert not any(s.startswith("note:")
+                   for s in _rows(out / "constant_evolve_summary.txt"))
 
 
 def test_evolve_full_constant_potential_has_no_note(tmp_path):

@@ -7,6 +7,7 @@ independent of the float evaluation order used in the library.
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_perturbed_w_defined_at_zero_eps0():
 
 
 def test_thinwall_w_paper_point():
-    got, pole = w_thinwall_approx(1e3, 1e-2, 1e3)
+    got, pole = w_thinwall_approx(REF)
     assert not pole
     expect = _exact_rational(
         lambda X0, e, F2: -1 / (1 - 4 * X0 * e / F2), 1e3, 1e-2, 1e3)
@@ -192,11 +193,12 @@ def test_thinwall_w_paper_point():
 
 
 def test_thinwall_w_guard():
-    assert _nan_at_pole(w_thinwall_approx(1.0, 0.25, 1.0))
+    assert _nan_at_pole(w_thinwall_approx(
+        KineticModel(F2=1.0, X0=1.0, eps0=0.25)))
 
 
 def test_thinwall_cs2_paper_point():
-    got, pole = cs2_thinwall_approx(1e3, 1e-2)
+    got, pole = cs2_thinwall_approx(REF)
     assert not pole
     expect = _exact_rational(
         lambda X0, e: 1 / (1 + 4 * X0 * (1 + X0 / (2 * e))), 1e3, 1e-2)
@@ -205,10 +207,10 @@ def test_thinwall_cs2_paper_point():
 
 
 def test_thinwall_cs2_thick_limit():
-    assert cs2_thinwall_approx(1e-3, 1e-2) == (
+    assert cs2_thinwall_approx(replace(REF, X0=1e-3)) == (
         pytest.approx(0.99582, abs=1e-5), False)
     grid = np.geomspace(1e-8, 10.0, 40)
-    vals, pole = cs2_thinwall_approx(grid, 1e-2)
+    vals, pole = cs2_thinwall_approx(replace(REF, X0=grid))
     assert not np.any(pole)
     assert np.all(np.diff(vals) < 0.0)
     assert vals[0] > 1.0 - 1e-6
@@ -216,20 +218,27 @@ def test_thinwall_cs2_thick_limit():
 
 
 def test_thinwall_cs2_requires_positive_eps0():
-    assert _nan_at_pole(cs2_thinwall_approx(1.0, 0.0))
-    with pytest.raises(ValueError, match="eps0 >= 0"):
-        cs2_thinwall_approx(1.0, -0.1)
+    assert _nan_at_pole(cs2_thinwall_approx(KineticModel(F2=1.0, X0=1.0)))
+    # the thin-wall forms' domain is the model's own
+    for bad in ({"X0": -1.0}, {"eps0": -0.1}, {"F2": -1.0}):
+        with pytest.raises(ValueError, match="must be"):
+            KineticModel(**{"F2": 1.0, "X0": 1.0, "eps0": 0.1, **bad})
 
 
 def test_thinwall_cs2_overflowing_denominator_is_zero_without_warning():
     # 4 X0 (1 + X0/(2 eps0)) overflows to inf, and 1/inf = 0.0 is the value;
     # the suite turns a numpy overflow warning into an error
-    assert cs2_thinwall_approx(1e200, 1e-100) == (0.0, False)
-    assert cs2_thinwall_approx(1e300, 1e-300) == (0.0, False)
-    cs2, pole = cs2_thinwall_approx(np.array([1e200, 1e3, 1e308, 1.0]),
-                                    np.array([1e-100, 1e-2, 1e308, 0.0]))
+    def thin(X0, eps0):
+        return cs2_thinwall_approx(KineticModel(F2=1.0, X0=X0, eps0=eps0))
+
+    assert thin(1e200, 1e-100) == (0.0, False)
+    assert thin(1e300, 1e-300) == (0.0, False)
+    # 2 eps0 overflows, X0/(2 eps0) does not: 1/(1 + 4) as eps0 -> inf
+    assert thin(1.0, 1e308) == (0.2, False)
+    cs2, pole = thin(np.array([1e200, 1e3, 1e308, 1.0]),
+                     np.array([1e-100, 1e-2, 1e308, 0.0]))
     assert cs2[[0, 2]].tolist() == [0.0, 0.0]
-    assert cs2[1] == cs2_thinwall_approx(1e3, 1e-2)[0] and np.isnan(cs2[3])
+    assert cs2[1] == thin(1e3, 1e-2)[0] and np.isnan(cs2[3])
     assert pole.tolist() == [False, False, False, True]
 
 
@@ -237,8 +246,9 @@ def test_thinwall_cs2_overflowing_denominator_is_zero_without_warning():
        st.floats(min_value=1.001, max_value=1e3, **_pos),
        st.floats(min_value=1e-6, max_value=1e2, **_pos))
 def test_thinwall_cs2_monotone_in_X0(x0, factor, eps0):
-    lo, lo_pole = cs2_thinwall_approx(x0, eps0)
-    hi, hi_pole = cs2_thinwall_approx(x0 * factor, eps0)
+    lo, lo_pole = cs2_thinwall_approx(KineticModel(F2=1.0, X0=x0, eps0=eps0))
+    hi, hi_pole = cs2_thinwall_approx(
+        KineticModel(F2=1.0, X0=x0 * factor, eps0=eps0))
     assert not (lo_pole or hi_pole) and lo > hi
 
 
@@ -371,20 +381,59 @@ def test_guarded_div_scalar_and_array():
 
 
 def test_guarded_div_overflow_is_not_a_pole():
-    # A term that overflowed gives NaN, not a pole. A sum of two finite
-    # terms that overflows is not caught: it divides by inf and gives 0.0
-    # with no note, a wrong value that the open long-double recompute of
-    # ROADMAP item 2 is to cover.
+    # A term that overflowed gives NaN, not a pole. Two finite terms whose
+    # sum overflows are rescaled by a power of two first, so 1/(1e308 +
+    # 1e308) is its correctly rounded 5e-309, not 1/inf = 0.0.
     q, pole = guarded_div(np.array([1.0, 1.0, 1.0]),
                           np.array([math.inf, math.inf, 1e308]),
                           np.array([-math.inf, -1.0, 1e308]))
-    assert np.isnan(q[:2]).all() and q[2] == 0.0
+    assert np.isnan(q[:2]).all()
+    assert q[2] == _exact_rational(lambda t: 1 / (t + t), 1e308)
     assert not pole.any()
+
+
+def _w_exact_rational(F2, X0, F0, X):
+    F = F0 + F2 * (X - X0) ** 2
+    return F / (4 * X * F2 * (X - X0) - F)
+
+
+def test_finite_terms_whose_sum_overflows_give_the_true_quotient():
+    # 2 X F_X = 1.44e308 and -F = 6.4e307 are finite; their sum is not,
+    # and dividing by that inf would give w = -0.0 with no pole and no NaN
+    m = KineticModel(F2=1.0, X0=1.0, F0=-1e308)
+    w, pole = eos_w(m, 6e153)
+    assert not pole and w == -0.3076923076923076
+    assert w == pytest.approx(
+        _exact_rational(_w_exact_rational, 1.0, 1.0, -1e308, 6e153),
+        rel=1e-15)
+    assert w_perturbed_exact(replace(m, eps0=6e153 - 1.0)) == (w, False)
+    # 2000 rows whose two terms are each near 1e308 and whose sum overflows
+    rng = np.random.default_rng(20)
+    n = 8000
+    F2 = 10.0 ** rng.uniform(0.0, 3.0, n)
+    X0 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    t1 = rng.uniform(0.3, 1.7, n) * 1e308  # about 2 X F_X
+    neg_F = rng.uniform(0.3, 1.2, n) * 1e308  # about -F
+    d = np.sqrt(t1 / 4.0 / F2)  # X - X0, with 4 F2 X (X - X0) ~ t1
+    X, F0 = X0 + d, -neg_F - F2 * d * d
+    mm = KineticModel(F2=F2, X0=X0, F0=F0)
+    with np.errstate(over="ignore"):
+        terms = (2.0 * X * eval_F_X(mm, X), -eval_F(mm, X))
+        rows = np.flatnonzero(np.isfinite(terms).all(axis=0)
+                              & np.isinf(terms[0] + terms[1]))[:2000]
+    assert rows.size == 2000
+    w, pole = eos_w(KineticModel(F2=F2[rows], X0=X0[rows], F0=F0[rows]),
+                    X[rows])
+    assert not pole.any()
+    expect = [_exact_rational(_w_exact_rational, *v)
+              for v in zip(F2[rows], X0[rows], F0[rows], X[rows])]
+    np.testing.assert_allclose(w, expect, rtol=1e-14, atol=0.0)
 
 
 def test_values_and_pole_take_the_inputs_broadcast_shape():
     # array inputs over scalar denominator inputs: both results are arrays
-    cs2, pole = cs2_thinwall_approx(np.geomspace(1e-8, 10, 40), 1e-2)
+    cs2, pole = cs2_thinwall_approx(
+        replace(REF, X0=np.geomspace(1e-8, 10, 40)))
     assert cs2.shape == pole.shape == (40,) and not pole.any()
     cs2, pole = sound_speed_perturbed(
         KineticModel(F2=1.0, X0=np.array([1.0, 2.0]), eps0=0.0))
@@ -412,8 +461,9 @@ def test_closed_forms_return_values_and_pole():
         (lambda x: sound_speed(m, x), X, X == 1.0),
         (perturbed(w_perturbed_exact), eps0, [False, False, True]),
         (perturbed(sound_speed_perturbed), eps0, [True, False, False]),
-        (lambda e: w_thinwall_approx(1.0, e, 2.0), eps0, [False, True, False]),
-        (lambda e: cs2_thinwall_approx(1.0, e), eps0, [True, False, False]),
+        (lambda e: w_thinwall_approx(KineticModel(F2=2.0, X0=1.0, eps0=e)),
+         eps0, [False, True, False]),
+        (perturbed(cs2_thinwall_approx), eps0, [True, False, False]),
     ]
     for fn, grid, expect_pole in cases:
         values, pole = fn(grid)
@@ -475,10 +525,12 @@ _FORMS = {
     "sound_speed_perturbed": (
         lambda F2, X0, F0, e: sound_speed_perturbed(_model_of(F2, X0, F0, e)),
         (_MAG, _MAG, _SIGNED, _MAG), lambda F2, X0, F0, e: (e, 0.0)),
-    "w_thinwall_approx": (w_thinwall_approx, (_SIGNED, _SIGNED, _SIGNED),
-                          lambda X0, e, F2: (1.0, -4.0 * X0 * e / F2)),
-    "cs2_thinwall_approx": (cs2_thinwall_approx, (_MAG, _MAG),
-                            lambda X0, e: (e, e)),
+    "w_thinwall_approx": (
+        lambda F2, X0, e: w_thinwall_approx(_model_of(F2, X0, -1.0, e)),
+        (_MAG, _MAG, _MAG), lambda F2, X0, e: (4.0 * X0 * e / F2, -1.0)),
+    "cs2_thinwall_approx": (
+        lambda F2, X0, e: cs2_thinwall_approx(_model_of(F2, X0, -1.0, e)),
+        (_MAG, _MAG, _MAG), lambda F2, X0, e: (e, e)),
     "scaling_cs2_of_a": (_scaling_cs2, (_MAG, _SIGNED, _MAG, _MAG),
                          _scaling_terms),
 }
@@ -487,9 +539,10 @@ _FORMS = {
 @pytest.mark.parametrize("name", _FORMS)
 @given(data=st.data())
 def test_closed_forms_over_the_float_range(name, data):
-    # No call warns, a pole never has a non-finite term, and every NaN is
-    # a pole or has a non-finite term (an overflow, not a vanishing
-    # denominator).
+    # No call warns, a pole never has a non-finite term, and a value is
+    # finite wherever its terms are finite and it is not a pole: every
+    # NaN is a pole or an overflowed term, never a vanishing denominator
+    # or a sum of finite terms that overflowed.
     form, strategies, terms = _FORMS[name]
     args = [np.array([data.draw(s)]) for s in strategies]
     with warnings.catch_warnings():
@@ -498,7 +551,7 @@ def test_closed_forms_over_the_float_range(name, data):
     with np.errstate(all="ignore"):
         finite = np.isfinite(np.broadcast_arrays(*terms(*args))).all(axis=0)
     assert not (pole & ~finite).any()
-    assert (~np.isnan(values) | pole | ~finite).all()
+    assert (np.isfinite(values) | pole | ~finite).all()
 
 
 # ---------------------------------------------------------------------------

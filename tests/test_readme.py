@@ -44,7 +44,7 @@ def test_readme_quick_tour_prints_its_comments():
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert run.returncode == 0 and run.stderr == "", run.stderr
     printed = [line.split() for line in run.stdout.splitlines()]
-    assert len(printed) == len(expected) == 2
+    assert len(printed) == len(expected) == 3
     for got, want in zip(printed, expected):
         assert len(got) == len(want) and all(map(_agrees, got, want)), (got, want)
 
