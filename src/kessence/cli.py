@@ -66,12 +66,22 @@ def _fmt(value) -> str:
 
 def _cells(column) -> list:
     """CSV cells of a column slice: floats as their shortest round-trip
-    decimal (repr), NaN as the NAN token; strings as they are."""
+    decimal (repr), NaN as the NAN token; strings as they are.
+
+    A run of equal floats (one bit pattern, so -0.0 and 0.0 differ, or any
+    NaNs) is formatted once, at its first row, and repeated."""
     column = np.asarray(column)
     if column.dtype.kind != "f":
         return column.tolist()
+    nan, bits = np.isnan(column), column.view(np.int64)
+    repeated = (bits[1:] == bits[:-1]) | (nan[1:] & nan[:-1])
+    if repeated.any():
+        # The first values of the runs have no repeated neighbour.
+        starts = np.flatnonzero(np.concatenate(([True], ~repeated)))
+        return np.repeat(np.array(_cells(column[starts]), dtype=object),
+                         np.diff(starts, append=column.size)).tolist()
     cells = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
+    for i in np.flatnonzero(nan).tolist():
         cells[i] = "NAN"
     return cells
 

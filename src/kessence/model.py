@@ -221,10 +221,19 @@ def sound_speed(model: KineticModel, X):
 
     For the quadratic F this equals (X - X0)/(3 X - X0), so it vanishes at
     the extremum and has a pole at X = X0/3 (and is 0/0 when F2 = 0).
+    Where F2 > 0 and X != X0 but F_X and 2 X F_XX both underflow to 0, the
+    value is that reduced quotient, formed from X and X0.
     """
     F_X = eval_F_X(model, X)
     t2 = 2.0 * X * eval_F_XX(model, X)
-    return guarded_div(F_X, F_X, t2)
+    cs2, pole = guarded_div(F_X, F_X, t2)
+    d = X - model.X0
+    lost = (F_X == 0.0) & (t2 == 0.0) & (model.F2 > 0.0) & (d != 0.0)
+    if not np.any(lost):
+        return cs2, pole
+    reduced, reduced_pole = guarded_div(d, d, 2.0 * X)
+    return (np.where(lost, reduced, cs2)[()],
+            np.where(lost, reduced_pole, pole)[()])
 
 
 # ---------------------------------------------------------------------------

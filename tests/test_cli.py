@@ -959,6 +959,65 @@ def test_regimes_zero_eps0_row(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# cell formatting
+# ---------------------------------------------------------------------------
+
+def _plain_cells(column):
+    """The rule `_cells` must keep: repr per float, NAN on NaN rows."""
+    return ["NAN" if math.isnan(v) else repr(v) for v in column.tolist()]
+
+
+def _nan_with(sign, payload):
+    bits = (sign << 63) | (0x7FF << 52) | payload
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+_EDGE_FLOATS = np.array([
+    np.nan, _nan_with(1, 1 << 51), _nan_with(0, (1 << 51) | 0x123),
+    _nan_with(1, 7), -0.0, 0.0, 0.0, -0.0, -0.0, np.inf, np.inf, -np.inf,
+    5e-324, 5e-324, -5e-324, 1e300, 1e-300, 1e-300, -1e300, 1.0, 1.0, 0.1,
+])
+
+
+@pytest.mark.parametrize("column", [
+    np.empty(0), np.array([2.5]), np.array([np.nan]), np.full(50, -0.0),
+    np.full(7, np.nan), _EDGE_FLOATS, _EDGE_FLOATS[::3], _EDGE_FLOATS[:4],
+    np.repeat(_EDGE_FLOATS, 3)[::2], np.arange(30.0)[::3],
+], ids=["empty", "one", "one-nan", "all-equal", "all-nan", "edges",
+        "strided", "nan-signs-payloads", "runs-strided", "distinct-strided"])
+def test_cells_match_repr_per_cell(column):
+    assert cli._cells(column) == _plain_cells(column)
+
+
+def test_cells_keep_non_float_columns():
+    labels = np.array(["DarkEnergyMix", "DarkEnergyMix", "Unclassified"],
+                      dtype=object)
+    assert cli._cells(labels) == labels.tolist()
+
+
+@given(st.lists(st.tuples(st.sampled_from(_EDGE_FLOATS.tolist()
+                                          + [3.0, -2.5, 1e-5]),
+                          st.integers(1, 40)), max_size=30),
+       st.integers(1, 3))
+def test_cells_on_runs_match_repr_per_cell(runs, step):
+    column = np.repeat([v for v, _ in runs], [n for _, n in runs])[::step]
+    assert cli._cells(column) == _plain_cells(column)
+
+
+def test_write_file_runs_across_chunks(tmp_path):
+    # Runs of 7 to 700 rows, so several cross a CHUNK_ROWS boundary.
+    lengths = [700, 7, 331, 1, 1200, 761]
+    assert sum(lengths) == 3000 and 3000 > 2 * cli.CHUNK_ROWS
+    values = np.repeat([0.1, -0.0, np.nan, 0.0, 1e-300, 2.5], lengths)
+    columns = [values, values[::-1], np.arange(3000.0) / 7.0]
+    path = tmp_path / "runs.csv"
+    cli._write_file(str(path), ["a,b,c"], columns)
+    expect = "a,b,c\n" + "".join(
+        ",".join(row) + "\n" for row in zip(*map(_plain_cells, columns)))
+    assert path.read_bytes() == expect.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 

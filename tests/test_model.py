@@ -148,6 +148,30 @@ def test_cs2_guard_at_third_of_extremum():
     assert _nan_at_pole(sound_speed(m, 1.0))
 
 
+def test_cs2_where_both_terms_underflow():
+    # F_X and 2 X F_XX both underflow to 0, yet the value is
+    # (X - X0)/(3 X - X0) = 1/3 and not a 0/0 pole.
+    m = KineticModel(F2=4.2e-259, X0=3.6e-276)
+    assert sound_speed(m, -1.1e-219) == (1.0 / 3.0, False)
+    # A flat F stays 0/0.
+    assert _nan_at_pole(sound_speed(replace(m, F2=0.0), -1.1e-219))
+
+    # Log-uniform draws over ±[1e-300, 1e300]: about 3 % lose both terms.
+    rng = np.random.default_rng(0)
+    F2, X0, X = 10.0 ** rng.uniform(-300.0, 300.0, size=(3, 20_000))
+    X *= rng.choice([-1.0, 1.0], X.size)
+    m = KineticModel(F2=F2, X0=X0)
+    with np.errstate(all="ignore"):
+        lost = (eval_F_X(m, X) == 0.0) & (2.0 * X * eval_F_XX(m, X) == 0.0)
+    assert lost.sum() > 500
+    values, pole = sound_speed(m, X)
+    assert not pole[lost].any()
+    for v, x, x0 in zip(values[lost].tolist(), X[lost].tolist(),
+                        X0[lost].tolist()):
+        x, x0 = Fraction(x), Fraction(x0)
+        assert v == pytest.approx(float((x - x0) / (3 * x - x0)), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Perturbed closed forms and thin-wall approximations
 # ---------------------------------------------------------------------------
