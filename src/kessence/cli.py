@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -60,8 +61,9 @@ CHUNK_ROWS = 1024
 
 
 def _fmt(value) -> str:
-    """The CSV cell of one float."""
-    return _cells(np.array([value], dtype=float))[0]
+    """The CSV cell of one float: the same text as `_cells`."""
+    value = float(value)
+    return "NAN" if math.isnan(value) else repr(value)
 
 
 def _cells(column) -> list:

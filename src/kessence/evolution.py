@@ -14,28 +14,31 @@ through by phid gives d/dt (X F_X^2) = -6 H X F_X^2, so
 
     Q = X F_X^2 a^6
 
-is conserved exactly.  We exploit that structure twice: every
-`Trajectory` carries Q as a diagnostic column, and `evolve_kinetic_only`
-integrates the first-order equation for u = X - X0,
+is conserved exactly.  For the quadratic F, with u = X - X0, that is
 
-    du/dt = -6 H u (X0 + u) / (2 X0 + 3 u),
+    u^2 (X0 + u) a^6 = const       (Scherrer 2004, astro-ph/0402316).
 
-which tracks the exponentially decaying deviation with full relative
-accuracy.  (Integrating phid directly and then forming u by subtraction
-loses ~X0/u in relative precision, which destroys the Q diagnostic once
-u has decayed a few orders of magnitude.)  `evolve_full` keeps the
-(phi, phid) formulation so the two integrators make an independent
-cross-check.
+Every `Trajectory` carries Q as a diagnostic column, formed from its X
+column.  `evolve_kinetic_only` integrates no ODE: it takes ln a from the
+background in closed form and solves the first integral for u on the
+branch of u(0) (u > 0, -2 X0/3 < u < 0, or 0 < X < X0/3), which resolves
+the decaying deviation to full relative precision however far it has
+decayed; phi is a quadrature of sqrt(2 X).  (An integrator carrying phid
+and forming u by subtraction loses ~X0/u in relative precision.)
+`evolve_full` integrates the second-order equation in (phi, phid) with
+scipy's DOP853, which is imported on first use, so the two paths make an
+independent cross-check under a constant V.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .errors import MAX_ROWS, FitDomain, SingularMassMatrix, StepFailure
 from .model import (
@@ -74,6 +77,28 @@ _SOLVER_MARGIN = 10.0
 FIT_TAIL_FRACTION = 0.5
 SLOPE_MIN_GROWTH = 2.0
 
+# The kinetic-only phi quadrature: panels at most _PANEL_WIDTH wide in ln a,
+# each interpolated at the _CHEB_NODES (first-kind Chebyshev points on
+# [-1, 1]); _CHEB_INTEGRAL maps the node values to the Chebyshev
+# coefficients of the antiderivative that is 0 at -1.
+_PANEL_WIDTH = 0.25
+_CHEB_NODES = chebpts1(16)
+_CHEB_INTEGRAL = chebint(np.linalg.inv(chebvander(_CHEB_NODES, 15)), lbnd=-1)
+# Newton on the first integral stops once no step exceeds _NEWTON_TOL times
+# the scale of its terms, or after _NEWTON_MAX steps.
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX = 100
+
+
+def __getattr__(name):
+    # scipy.integrate is most of the package's import time and memory and
+    # only evolve_full integrates, so solve_ivp is imported on first use.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass(frozen=True)
 class DeSitter:
@@ -88,9 +113,17 @@ class DeSitter:
     def hubble(self, t):
         return self.H + 0.0 * t
 
+    def log_scale_ratio(self, t, t_ref):
+        """ln(a(t) / a(t_ref))."""
+        return self.H * (t - t_ref)
+
+    def log_scale_time(self, log_ratio, t_ref):
+        """The time t at which ln(a(t) / a(t_ref)) = log_ratio."""
+        return t_ref + log_ratio / self.H
+
     def scale_ratio(self, t, t_ref):
         """a(t) / a(t_ref)."""
-        return np.exp(self.H * (t - t_ref))
+        return np.exp(self.log_scale_ratio(t, t_ref))
 
 
 @dataclass(frozen=True)
@@ -108,6 +141,12 @@ class PowerLaw:
 
     def hubble(self, t):
         return self.p / t
+
+    def log_scale_ratio(self, t, t_ref):
+        return self.p * np.log(t / t_ref)
+
+    def log_scale_time(self, log_ratio, t_ref):
+        return t_ref * np.exp(log_ratio / self.p)
 
     def scale_ratio(self, t, t_ref):
         return (t / t_ref) ** self.p
@@ -228,7 +267,7 @@ def _check_window(background: BackgroundSpec, init: FieldState,
                   t_end: float, n_output: int) -> None:
     if not t_end > init.t:
         raise ValueError(f"t_end={t_end} must exceed init.t={init.t}")
-    # The solver reports at these times and needs them strictly increasing.
+    # The report times must be strictly increasing.
     if not np.all(np.diff(np.linspace(init.t, t_end, n_output)) > 0.0):
         raise ValueError(
             f"the window [{init.t!r}, {t_end!r}] does not hold "
@@ -243,28 +282,6 @@ def _check_window(background: BackgroundSpec, init: FieldState,
     if not np.isfinite(a_end):
         raise ValueError(f"a overflows the largest float before "
                          f"t_end={t_end!r} (a={init.a!r} at t={init.t!r})")
-
-
-def _integrate(model: KineticModel, background: BackgroundSpec,
-               init: FieldState, t_end: float, control: StepControl,
-               rhs, y0) -> tuple:
-    """Integrate `rhs` from `y0` at init.t to t_end, after the window and
-    start-state checks; returns the report times, a(t) and the states."""
-    _check_window(background, init, t_end, control.n_output)
-    _mass_coefficient(model, init.X, init.t)
-    with np.errstate(all="ignore"):  # a state that overflows fails below
-        sol = solve_ivp(
-            rhs, (init.t, t_end), y0, method="DOP853",
-            rtol=control.rel_tol / _SOLVER_MARGIN,
-            atol=control.abs_tol / _SOLVER_MARGIN,
-            t_eval=np.linspace(init.t, t_end, control.n_output),
-            dense_output=False)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    t_bad = sol.t[~np.isfinite(sol.y).all(axis=0)]
-    if t_bad.size:
-        raise StepFailure(f"the field left the float range by t={t_bad[0]}")
-    return sol.t, init.a * background.scale_ratio(sol.t, init.t), sol.y
 
 
 def evolve_full(model: KineticModel, potential: PotentialSpec,
@@ -293,43 +310,173 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
             force += (2.0 * X * F_X - eval_F(model, X)) * ratio
         return (phidot, -force / coef)
 
-    t, a, (phi, phidot) = _integrate(model, background, init, t_end, control,
-                                     rhs, (init.phi, init.phidot))
-    return Trajectory.build(model, t, a, phi, phidot, 0.5 * phidot * phidot)
+    _check_window(background, init, t_end, control.n_output)
+    _mass_coefficient(model, init.X, init.t)
+    with np.errstate(all="ignore"):  # a state that overflows fails below
+        # By module attribute, so that the lazy import above serves it
+        sol = sys.modules[__name__].solve_ivp(
+            rhs, (init.t, t_end), (init.phi, init.phidot), method="DOP853",
+            rtol=control.rel_tol / _SOLVER_MARGIN,
+            atol=control.abs_tol / _SOLVER_MARGIN,
+            t_eval=np.linspace(init.t, t_end, control.n_output),
+            dense_output=False)
+    if not sol.success:
+        raise StepFailure(f"integration failed: {sol.message}")
+    _check_finite(sol.t, sol.y)
+    phi, phidot = sol.y
+    a = init.a * background.scale_ratio(sol.t, init.t)
+    return Trajectory.build(model, sol.t, a, phi, phidot,
+                            0.5 * phidot * phidot)
+
+
+def _check_finite(t, state) -> None:
+    """StepFailure at the first time t where a state column is not finite."""
+    t_bad = t[~np.isfinite(state).all(axis=0)]
+    if t_bad.size:
+        raise StepFailure(f"the field left the float range by t={t_bad[0]}")
+
+
+def _first_integral(X0: float, X_start: float, log_growth):
+    """(u, X) with u = X - X0 on the branch of the start state on which
+    u^2 (X0 + u) a^6 keeps its start value; log_growth is ln(a/a_start).
+
+    u^2 (X0 + u) is monotone on each branch: u > 0, -2 X0/3 < u < 0 and
+    0 < X < X0/3.  With e = |u| (e = X on the last branch) it reads
+    alpha v + beta ln(X0 + sigma e) = K in v = ln e.  The left side is
+    increasing in v, convex on the first branch and concave on the others,
+    so Newton closes on the root from one side without overshooting when it
+    starts there: from the upper bounds (K - ln X0)/2 and K/3 on the first
+    branch, and from the lower bound (K - beta ln X0)/alpha on the others.
+    u = 0 and X = 0 are equilibria and come out exact.
+    """
+    L = np.asarray(log_growth, dtype=float)
+    u_start = X_start - X0
+    if u_start == 0.0 or X_start == 0.0:
+        return np.full(L.shape, u_start), np.full(L.shape, X_start)
+    low = 3.0 * X_start < X0  # the branch 0 < X < X0/3, solved in ln X
+    if low:
+        alpha, beta, sigma, e_start = 1.0, 2.0, -1.0, X_start
+    else:
+        alpha, beta, sigma = 2.0, 1.0, math.copysign(1.0, u_start)
+        e_start = abs(u_start)
+    K = (alpha * math.log(e_start) + beta * math.log(X0 + sigma * e_start)
+         - 6.0 * L)
+    v = (K - beta * math.log(X0)) / alpha
+    if sigma > 0.0:
+        v = np.minimum(v, K / 3.0)
+    tol = _NEWTON_TOL * (1.0 + np.abs(K) + np.abs(v))
+    for _ in range(_NEWTON_MAX):
+        e = np.exp(v)
+        rest = X0 + sigma * e
+        dv = ((alpha * v + beta * np.log(rest) - K)
+              / (alpha + beta * sigma * e / rest))
+        v = v - dv
+        if not np.any(np.abs(dv) > tol):
+            break
+    e = np.exp(v)
+    if low:
+        return e - X0, e
+    return sigma * e, X0 + sigma * e
+
+
+def _branch_point_distance(X0: float, X_start: float) -> float:
+    """How far back in ln a from the start u(ln a) has its branch point,
+    where X passes X0/3 and u^2 (X0 + u) peaks at 4 X0^3/27; inf on the
+    branch u > 0, which holds none, and where X/X0 underflows.  With
+    r = X/X0 it is ln(1 + (r - 1/3)^2 (4/3 - r) / (r (1 - r)^2)) / 6."""
+    r = X_start / X0
+    if not 0.0 < r < 1.0:
+        return math.inf
+    return math.log1p((r - 1.0 / 3.0) ** 2 * (4.0 / 3.0 - r)
+                      / (r * (1.0 - r) ** 2)) / 6.0
+
+
+def _panel_edges(background: BackgroundSpec, t0: float, t_end: float,
+                 reach: float) -> np.ndarray:
+    """Quadrature panel edges from t0 to t_end.
+
+    Panels are at most _PANEL_WIDTH wide in ln a (for a power law with
+    p < 1, in ln t, on which the integrand's time scale then rests).  Near
+    a branch point `reach` back in ln a, each is half as wide as its
+    distance from the branch point, so each panel's interpolant converges
+    as fast as on the smooth stretches."""
+    width = _PANEL_WIDTH
+    if isinstance(background, PowerLaw):
+        width *= min(background.p, 1.0)
+    L_end = float(background.log_scale_ratio(t_end, t0))
+    # Graded edges reach (1.5^j - 1) up to the first step as wide as
+    # `width`, then even steps to L_end.
+    n_graded = (0 if reach >= 2.0 * width else
+                math.ceil(math.log(2.0 * width / reach) / math.log(1.5)))
+    first = reach * (1.5 ** n_graded - 1.0) if n_graded else 0.0
+    n_even = max(1, math.ceil((L_end - first) / width))
+    inner = np.concatenate((
+        reach * (1.5 ** np.arange(1, n_graded + 1) - 1.0),
+        np.linspace(first, L_end, n_even + 1)[1:-1]))
+    L = np.concatenate(([0.0], inner[inner < L_end], [L_end]))
+    edges = np.minimum(background.log_scale_time(L, t0), t_end)
+    edges[0], edges[-1] = t0, t_end
+    return np.unique(edges)  # rounding may have merged edges
+
+
+def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
+                     t: np.ndarray) -> tuple:
+    """X at the times t, and the field's path length: the integral of
+    sqrt(2 X) from t[0] to each t.
+
+    The path is integrated on the panels of `_panel_edges`, each by the
+    antiderivative of its 16-node Chebyshev interpolant, evaluated on the
+    panel's own (contiguous) rows of t.  sqrt(2 X) is integrated as it
+    is: split as sqrt(2 X0) + 2 u/(sqrt(2 X) + sqrt(2 X0)), its two terms
+    cancel on the branch X < X0/3.  At rest (X = 0) the path is 0.
+    """
+    t0, n = t[0], t.size
+    edges = _panel_edges(background, t0, t[-1],
+                         _branch_point_distance(X0, X_start))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
+    _, X = _first_integral(X0, X_start, background.log_scale_ratio(
+        np.concatenate((t, nodes.ravel())), t0))
+    speed = np.sqrt(2.0 * X[n:])
+    coef = speed.reshape(nodes.shape) @ _CHEB_INTEGRAL.T * half[:, None]
+    # Each panel's antiderivative on its rows, by Clenshaw's recurrence,
+    # after the integrals of the panels before it: every T_k(1) is 1, so a
+    # panel's integral is the sum of its coefficients.
+    rows = np.diff(np.concatenate(
+        ([0], np.searchsorted(t, edges[1:-1]), [n])))
+    before = np.concatenate(([0.0], np.cumsum(coef.sum(axis=1)[:-1])))
+    h = half.repeat(rows)
+    x = (t - edges[:-1].repeat(rows) - h) / h
+    c = coef.T.repeat(rows, axis=1)
+    x2, b1, b2 = 2.0 * x, 0.0, 0.0
+    for k in range(c.shape[0] - 1, 0, -1):
+        b1, b2 = c[k] + x2 * b1 - b2, b1
+    path = before.repeat(rows) + (c[0] + x * b1 - b2)
+    return X[:n], path
 
 
 def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
                         init: FieldState, t_end: float,
                         control: StepControl = StepControl()) -> Trajectory:
-    """Integrate the constant-V field equation in (phi, u) with u = X - X0.
+    """Evolve the constant-V field equation from its first integral.
 
-    Multiplying the kinetic equation by phid turns it into
-    du/dt = -6 H u (X0 + u)/(2 X0 + 3 u), which resolves the decaying
-    deviation u to full relative precision.  phid is reconstructed as
-    sign(phidot(0)) * sqrt(2 (X0 + u)); the sign cannot change as long as
-    X > 0.  The returned trajectory carries the native X = X0 + u so its
-    Q column conserves to the integrator tolerance, not to the (much
-    worse) precision of a phidot round trip.
+    u = X - X0 solves u^2 (X0 + u) a^6 = const on the branch of u(0), with
+    ln a in closed form, so no ODE is integrated and of `control` only
+    n_output is used.  phi is phi(0) plus sign(phidot(0)) times the path
+    length, the integral of sqrt(2 X) (see `_kinetic_columns`).  The first
+    row is the start state.
     """
-    X0 = model.X0
-    sgn = math.copysign(1.0, init.phidot) if init.phidot != 0.0 else 0.0
-
-    def rhs(t, y):
-        u = y[1]
-        X = X0 + u
-        if X < 0.0:
-            raise StepFailure(
-                f"X = X0 + u went negative at t={t} (u={u}); the "
-                "kinetic variable left its physical domain")
-        _mass_coefficient(model, X, t)
-        udot = -6.0 * background.hubble(t) * u * X / (2.0 * X0 + 3.0 * u)
-        return (sgn * math.sqrt(2.0 * X), udot)
-
-    t, a, (phi, u) = _integrate(model, background, init, t_end, control,
-                                rhs, (init.phi, init.X - X0))
-    X = X0 + u
-    phidot = sgn * np.sqrt(np.maximum(2.0 * X, 0.0))
-    return Trajectory.build(model, t, a, phi, phidot, X)
+    _check_window(background, init, t_end, control.n_output)
+    _mass_coefficient(model, init.X, init.t)
+    t = np.linspace(init.t, t_end, control.n_output)
+    with np.errstate(all="ignore"):  # a phi that overflows fails below
+        X, path = _kinetic_columns(model.X0, init.X, background, t)
+        phi = init.phi + math.copysign(1.0, init.phidot) * path
+    X[0], phi[0] = init.X, init.phi
+    _check_finite(t, (phi, X))
+    a = init.a * background.scale_ratio(t, init.t)
+    return Trajectory.build(model, t, a, phi,
+                            np.copysign(np.sqrt(2.0 * X), init.phidot), X)
 
 
 def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:

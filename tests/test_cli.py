@@ -10,6 +10,8 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from datetime import timedelta
@@ -792,8 +794,10 @@ def test_evolve_short_tail_has_no_fit(tmp_path):
 
 
 def test_evolve_reports_drift_failure(tmp_path):
+    # A full-mode integration under a constant V, at a loose abs_tol, drifts
+    # off the first integral Q; the kinetic-only mode solves Q exactly.
     doc = dict(BASE_DOC)
-    doc["evolve"] = {"t_end": 3.0, "X": 1050.0,
+    doc["evolve"] = {"t_end": 3.0, "X": 1050.0, "kinetic_only": False,
                      "rel_tol": 1e-12, "abs_tol": 1.0}
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
@@ -987,6 +991,9 @@ _EDGE_FLOATS = np.array([
         "strided", "nan-signs-payloads", "runs-strided", "distinct-strided"])
 def test_cells_match_repr_per_cell(column):
     assert cli._cells(column) == _plain_cells(column)
+    # _fmt writes one float, numpy's or Python's, as its cell
+    assert list(map(_fmt, column)) == _plain_cells(column)
+    assert list(map(_fmt, column.tolist())) == _plain_cells(column)
 
 
 def test_cells_keep_non_float_columns():
@@ -1107,3 +1114,37 @@ def test_out_flag_overrides_config_directory(tmp_path, monkeypatch):
     assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "elsewhere"),
                  "--quiet"]) == 0
     assert (tmp_path / "elsewhere" / "t_eos_scan.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import os, sys
+from kessence.cli import main
+out = sys.argv[1]
+for argv in (["eos-scan", "--preset", "paper-point"],
+             ["wall", "--preset", "figure1"],
+             ["regimes", "--preset", "paper-point"],
+             ["evolve", "--preset", "paper-point"]):
+    assert main([*argv, "--out", out, "--quiet"]) == 0, argv
+print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy"}))
+full = os.path.join(sys.argv[2], "evolve_full_quadratic.json")
+assert main(["evolve", "--config", full, "--out", out, "--quiet"]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+def test_only_full_mode_evolve_loads_scipy(tmp_path):
+    # In a fresh interpreter: the kinetic-only evolve and the other three
+    # commands run without importing scipy; a full-mode evolve imports it.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join([src] + [p for p in (
+        os.environ.get("PYTHONPATH"),) if p])
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCIPY_PROBE, str(tmp_path),
+         CONFIG_DIR], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n") == ["[]", "True", ""]

@@ -3,13 +3,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from kessence.errors import FitDomain, SingularMassMatrix, StepFailure
 from kessence.evolution import (
+    _first_integral,
     DeSitter,
     FieldState,
     PowerLaw,
@@ -215,14 +218,25 @@ def test_invariant_conserved_powerlaw():
     assert drift <= 100.0 * control.rel_tol
 
 
+# One start on each branch of the first integral: u > 0, -2 X0/3 < u < 0,
+# 0 < X < X0/3 (near its branch point at X0/3, and far below it).
+BRANCH_STARTS = [1.05e3, 7e2, 2e2, 1e-3]
+BACKGROUNDS = [(BG, 0.0), (PowerLaw(p=0.5), 1.0)]
+
+
 def test_full_reduces_to_kinetic_for_constant_potential():
+    # Two independent paths: the first integral and a DOP853 integration
+    # of the full equation, at t = 3 where the latter is still accurate.
     control = StepControl()
-    init = initial_state(X=1.05e3)
-    kin = evolve_kinetic_only(REF, BG, init, 3.0, control)
-    full = evolve_full(REF, ConstantPotential(V0=0.7), BG, init, 3.0,
-                       control)
-    assert np.max(np.abs(full.X / kin.X - 1.0)) <= 10.0 * control.rel_tol
-    assert np.max(np.abs(full.phi - kin.phi)) <= 1e-6
+    for bg, t0 in BACKGROUNDS:
+        for X_start in BRANCH_STARTS[:3]:
+            init = initial_state(X=X_start, phi=1.0, t=t0)
+            kin = evolve_kinetic_only(REF, bg, init, t0 + 3.0, control)
+            full = evolve_full(REF, ConstantPotential(V0=0.7), bg, init,
+                               t0 + 3.0, control)
+            assert (np.max(np.abs(full.X / kin.X - 1.0))
+                    <= 10.0 * control.rel_tol)
+            assert np.max(np.abs(full.phi - kin.phi)) <= 1e-6
 
 
 @pytest.mark.parametrize("c", [0.01, 0.05, 0.2, 0.5])
@@ -266,6 +280,100 @@ def test_axes_monotone():
     assert np.all(np.diff(traj.t) > 0.0)
     assert np.all(np.diff(traj.a) > 0.0)
     assert len(traj) == StepControl().n_output
+
+
+def _cubic_root(X0, X_start, log_growth):
+    """(u, X) per L on the branch of X_start with u^2 (X0 + u) =
+    u0^2 X_start e^(-6 L), by 30-digit bisection in ln|u| (ln X below
+    X0/3)."""
+    out = []
+    with mpmath.workdps(30):
+        X0m, Xs = mpmath.mpf(X0), mpmath.mpf(X_start)
+        u0 = Xs - X0m
+        s = mpmath.sign(u0)
+        if 3 * Xs < X0m:
+            def to_uX(w):
+                return mpmath.exp(w) - X0m, mpmath.exp(w)
+            w_start = mpmath.log(Xs)
+        else:
+            def to_uX(w):
+                return s * mpmath.exp(w), X0m + s * mpmath.exp(w)
+            w_start = mpmath.log(abs(u0))
+        for L in log_growth:
+            target = u0 * u0 * Xs * mpmath.exp(-6 * mpmath.mpf(L))
+
+            def excess(w):
+                u, X = to_uX(w)
+                return u * u * X - target
+            # |u| (X below X0/3) falls as a grows, by less than e^(-6 L - 10)
+            lo, hi = w_start - 6 * mpmath.mpf(L) - 10, w_start
+            rising = excess(hi) > excess(lo)
+            for _ in range(130):
+                mid = (lo + hi) / 2
+                if (excess(mid) > 0) == rising:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append(to_uX((lo + hi) / 2))
+    return out
+
+
+@pytest.mark.parametrize("t_span", [3.0, 10.0, 100.0])
+@pytest.mark.parametrize("X_start", BRANCH_STARTS[:3])
+@pytest.mark.parametrize("bg,t0", BACKGROUNDS)
+def test_first_integral_matches_mpmath_cubic(bg, t0, X_start, t_span):
+    init = initial_state(X=X_start, t=t0)
+    traj = evolve_kinetic_only(REF, bg, init, t0 + t_span,
+                               StepControl(n_output=6))
+    X0, F2 = REF.X0, REF.F2
+    L = bg.log_scale_ratio(traj.t, t0)
+    ref = _cubic_root(X0, init.X, L)
+    u, X = _first_integral(X0, init.X, L)
+    for i, (u_ref, X_ref) in enumerate(ref):
+        # u, and X where it is far below X0, to the rounding of 6 ln a
+        tol = 1e-15 * (8.0 + 6.0 * L[i])
+        assert abs(u[i] - u_ref) <= tol * abs(u_ref)
+        assert abs(X[i] - X_ref) <= tol * X_ref
+        # The written columns: the start state, then X0 + u to the nearest
+        # float (X itself below X0/3), which cs2 and Q, formed from X,
+        # feel relative to u.
+        assert traj.X[i] == (init.X if i == 0 else X[i])
+        loss = tol + 4.0 * np.spacing(float(X_ref)) / abs(float(u_ref))
+        cs2 = u_ref / (2 * X0 + 3 * u_ref)
+        assert abs(traj.cs2[i] - cs2) <= loss * abs(cs2)
+        Q = 4.0 * F2 * F2 * (init.X - X0) ** 2 * init.X  # constant, a(0) = 1
+        assert abs(traj.Q[i] - Q) <= (2 * loss + 1e-14) * Q
+
+
+def test_first_integral_far_above_extremum():
+    # u >> X0: u^2 (X0 + u) is u^3 to the last bit, so u = u0 a^-2, and
+    # Newton starts inside the float range though u0^3 is not.
+    L = np.array([0.0, 1.0, 10.0, 100.0])
+    u, X = _first_integral(1e-300, 1e300, L)
+    assert np.allclose(u, 1e300 * np.exp(-2.0 * L), rtol=1e-13, atol=0.0)
+    assert np.array_equal(X, 1e-300 + u)
+
+
+@pytest.mark.parametrize("n_output", [2, 5, 201])
+@pytest.mark.parametrize("X_start", BRANCH_STARTS)
+@pytest.mark.parametrize("bg,t0", BACKGROUNDS)
+def test_phi_matches_tight_dop853(bg, t0, X_start, n_output):
+    t_end = t0 + 10.0
+    traj = evolve_kinetic_only(REF, bg, initial_state(X=X_start, t=t0),
+                               t_end, StepControl(n_output=n_output))
+
+    def rhs(t, y):
+        # the kinetic equation in (phi, phidot)
+        phidot = y[1]
+        X = 0.5 * phidot * phidot
+        return (phidot, -3.0 * bg.hubble(t) * phidot * (X - REF.X0)
+                / (3.0 * X - REF.X0))
+
+    ref = solve_ivp(rhs, (t0, t_end), (0.0, math.sqrt(2.0 * X_start)),
+                    method="DOP853", rtol=1e-13, atol=1e-30,
+                    t_eval=traj.t).y[0]
+    # relative to the path length, which far below X0/3 is tiny
+    assert np.all(np.abs(traj.phi - ref) <= 1e-11 * ref)
 
 
 # ---------------------------------------------------------------------------
