@@ -268,7 +268,8 @@ def run_evolve(config: RunConfig):
 
     Q0 = float(tr.Q[0])
     if Q0 != 0.0:
-        drift = float(np.max(np.abs(tr.Q / Q0 - 1.0)))
+        with np.errstate(over="ignore"):  # over a subnormal Q(0), drift = inf
+            drift = float(np.max(np.abs(tr.Q / Q0 - 1.0)))
         summary.append(f"max relative Q drift = {_fmt(drift)}")
     else:
         drift = float(np.max(np.abs(tr.Q)))

@@ -19,15 +19,16 @@ is conserved exactly.  For the quadratic F, with u = X - X0, that is
     u^2 (X0 + u) a^6 = const       (Scherrer 2004, astro-ph/0402316).
 
 Every `Trajectory` carries Q as a diagnostic column, formed from its X
-column.  `evolve_kinetic_only` integrates no ODE: it takes ln a from the
-background in closed form and solves the first integral for u on the
-branch of u(0) (u > 0, -2 X0/3 < u < 0, or 0 < X < X0/3), which resolves
-the decaying deviation to full relative precision however far it has
-decayed; phi is a quadrature of sqrt(2 X).  (An integrator carrying phid
-and forming u by subtraction loses ~X0/u in relative precision.)
-`evolve_full` integrates the second-order equation in (phi, phid) with
-scipy's DOP853, which is imported on first use, so the two paths make an
-independent cross-check under a constant V.
+column; `Trajectory.build` refuses (StepFailure) the first row where phi,
+phidot, X or Q is not finite.  `evolve_kinetic_only` integrates no ODE: it
+takes ln a from the background in closed form and solves the first
+integral for u on the branch of u(0) (u > 0, -2 X0/3 < u < 0, or
+0 < X < X0/3), which resolves the decaying deviation to full relative
+precision however far it has decayed; phi is a quadrature of sqrt(2 X).
+(An integrator carrying phid and forming u by subtraction loses ~X0/u in
+relative precision.)  `evolve_full` integrates the second-order equation
+in (phi, phid) with scipy's DOP853, which is imported on first use, so the
+two paths make an independent cross-check under a constant V.
 """
 
 from __future__ import annotations
@@ -217,7 +218,8 @@ class Trajectory:
 
     All arrays share one length.  w and cs2 are NaN on any row where
     the corresponding denominator falls under the degeneracy guard.
-    Q = X F_X^2 a^6 can overflow: a^6 alone does past a of about 2.4e51.
+    `build` refuses a row where phi, phidot, X or Q = X F_X^2 a^6 is not
+    finite (a^6 alone overflows past a of about 2.4e51).
     """
 
     model: KineticModel
@@ -238,10 +240,16 @@ class Trajectory:
         """Assemble a trajectory, deriving w, cs2 and Q from X and a."""
         t, a, phi, phidot, X = (np.asarray(v, dtype=float)
                                 for v in (t, a, phi, phidot, X))
-        w, _ = eos_w(model, X)
-        cs2, _ = sound_speed(model, X)
-        F_X = eval_F_X(model, X)
-        Q = X * F_X * F_X * a ** 6
+        with np.errstate(all="ignore"):  # a column that overflows fails below
+            w, _ = eos_w(model, X)
+            cs2, _ = sound_speed(model, X)
+            F_X = eval_F_X(model, X)
+            Q = X * F_X * F_X * a ** 6
+        finite = np.array([np.isfinite(c) for c in (phi, phidot, X, Q)])
+        if not finite.all():
+            row, column = np.argwhere(~finite.T)[0]
+            raise StepFailure(f"{('phi', 'phidot', 'X', 'Q')[column]} left "
+                              f"the float range by t={t[row]}")
         return cls(model=model, t=t, a=a, phi=phi, phidot=phidot,
                    X=X, w=w, cs2=cs2, Q=Q)
 
@@ -264,24 +272,26 @@ def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
 
 
 def _check_window(background: BackgroundSpec, init: FieldState,
-                  t_end: float, n_output: int) -> None:
+                  t_end: float, n_output: int) -> tuple:
+    """(t, a) at the n_output report times from init.t to t_end; ValueError
+    if the times do not increase strictly or a(t_end) is not a float."""
     if not t_end > init.t:
         raise ValueError(f"t_end={t_end} must exceed init.t={init.t}")
-    # The report times must be strictly increasing.
-    if not np.all(np.diff(np.linspace(init.t, t_end, n_output)) > 0.0):
-        raise ValueError(
-            f"the window [{init.t!r}, {t_end!r}] does not hold "
-            f"n_output={n_output} strictly increasing float times")
-    if isinstance(background, PowerLaw) and init.t <= 0.0:
-        raise ValueError(
-            "PowerLaw background needs t > 0 over the whole window; "
-            f"got init.t={init.t}")
-    # a(t_end) must be a float; float64 overflows to inf (a float power raises)
-    with np.errstate(over="ignore"):
-        a_end = init.a * background.scale_ratio(np.float64(t_end), init.t)
-    if not np.isfinite(a_end):
+    with np.errstate(all="ignore"):  # a window that overflows fails below
+        t = np.linspace(init.t, t_end, n_output)
+        if not np.all(np.diff(t) > 0.0):
+            raise ValueError(
+                f"the window [{init.t!r}, {t_end!r}] does not hold "
+                f"n_output={n_output} strictly increasing float times")
+        if isinstance(background, PowerLaw) and init.t <= 0.0:
+            raise ValueError(
+                "PowerLaw background needs t > 0 over the whole window; "
+                f"got init.t={init.t}")
+        a = init.a * background.scale_ratio(t, init.t)
+    if not np.isfinite(a[-1]):
         raise ValueError(f"a overflows the largest float before "
                          f"t_end={t_end!r} (a={init.a!r} at t={init.t!r})")
+    return t, a
 
 
 def evolve_full(model: KineticModel, potential: PotentialSpec,
@@ -310,30 +320,20 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
             force += (2.0 * X * F_X - eval_F(model, X)) * ratio
         return (phidot, -force / coef)
 
-    _check_window(background, init, t_end, control.n_output)
+    t, a = _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
-    with np.errstate(all="ignore"):  # a state that overflows fails below
+    with np.errstate(all="ignore"):  # a state that overflows fails in build
         # By module attribute, so that the lazy import above serves it
         sol = sys.modules[__name__].solve_ivp(
             rhs, (init.t, t_end), (init.phi, init.phidot), method="DOP853",
             rtol=control.rel_tol / _SOLVER_MARGIN,
-            atol=control.abs_tol / _SOLVER_MARGIN,
-            t_eval=np.linspace(init.t, t_end, control.n_output),
+            atol=control.abs_tol / _SOLVER_MARGIN, t_eval=t,
             dense_output=False)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    _check_finite(sol.t, sol.y)
-    phi, phidot = sol.y
-    a = init.a * background.scale_ratio(sol.t, init.t)
-    return Trajectory.build(model, sol.t, a, phi, phidot,
-                            0.5 * phidot * phidot)
-
-
-def _check_finite(t, state) -> None:
-    """StepFailure at the first time t where a state column is not finite."""
-    t_bad = t[~np.isfinite(state).all(axis=0)]
-    if t_bad.size:
-        raise StepFailure(f"the field left the float range by t={t_bad[0]}")
+        if not sol.success:
+            raise StepFailure(f"integration failed: {sol.message}")
+        phi, phidot = sol.y
+        return Trajectory.build(model, t, a, phi, phidot,
+                                0.5 * phidot * phidot)
 
 
 def _first_integral(X0: float, X_start: float, log_growth):
@@ -400,16 +400,16 @@ def _panel_edges(background: BackgroundSpec, t0: float, t_end: float,
     a branch point `reach` back in ln a, each is half as wide as its
     distance from the branch point, so each panel's interpolant converges
     as fast as on the smooth stretches."""
-    width = _PANEL_WIDTH
-    if isinstance(background, PowerLaw):
-        width *= min(background.p, 1.0)
+    scale = min(background.p, 1.0) if isinstance(background, PowerLaw) else 1.0
+    width = _PANEL_WIDTH * scale
     L_end = float(background.log_scale_ratio(t_end, t0))
     # Graded edges reach (1.5^j - 1) up to the first step as wide as
     # `width`, then even steps to L_end.
     n_graded = (0 if reach >= 2.0 * width else
                 math.ceil(math.log(2.0 * width / reach) / math.log(1.5)))
     first = reach * (1.5 ** n_graded - 1.0) if n_graded else 0.0
-    n_even = max(1, math.ceil((L_end - first) / width))
+    # Counted in units of scale, so that a tiny p cannot underflow the width
+    n_even = max(1, math.ceil((L_end - first) / scale / _PANEL_WIDTH))
     inner = np.concatenate((
         reach * (1.5 ** np.arange(1, n_graded + 1) - 1.0),
         np.linspace(first, L_end, n_even + 1)[1:-1]))
@@ -466,17 +466,14 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     length, the integral of sqrt(2 X) (see `_kinetic_columns`).  The first
     row is the start state.
     """
-    _check_window(background, init, t_end, control.n_output)
+    t, a = _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
-    t = np.linspace(init.t, t_end, control.n_output)
-    with np.errstate(all="ignore"):  # a phi that overflows fails below
+    with np.errstate(all="ignore"):  # a column that overflows fails in build
         X, path = _kinetic_columns(model.X0, init.X, background, t)
         phi = init.phi + math.copysign(1.0, init.phidot) * path
-    X[0], phi[0] = init.X, init.phi
-    _check_finite(t, (phi, X))
-    a = init.a * background.scale_ratio(t, init.t)
-    return Trajectory.build(model, t, a, phi,
-                            np.copysign(np.sqrt(2.0 * X), init.phidot), X)
+        X[0], phi[0] = init.X, init.phi
+        return Trajectory.build(model, t, a, phi, np.copysign(
+            np.sqrt(2.0 * X), init.phidot), X)
 
 
 def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:
@@ -526,5 +523,7 @@ def scaling_slope(trajectory: Trajectory) -> float:
             "integrate longer before asking for a slope")
     if np.any(dev <= 0.0):
         raise FitDomain("slope window contains rows with X <= X0")
-    slope = np.polyfit(np.log(trajectory.a[mask]), np.log(dev), 1)[0]
-    return float(slope)
+    a = trajectory.a[mask]
+    if np.all(a == a[0]):  # a subnormal a is coarse enough for that
+        raise FitDomain("a takes one value over the slope window")
+    return float(np.polyfit(np.log(a), np.log(dev), 1)[0])

@@ -401,6 +401,12 @@ BAD_CONFIGS = [
     _bad(2, "evolve", {"background": {"kind": "powerlaw", "p": 1e6},
                        "evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 3.0}},
          "evolve-powerlaw-a-overflows"),
+    # a window wider than the largest float: its times overflow
+    _bad(2, "evolve", {"background": {"kind": "desitter", "H": 5e-324},
+                       "evolve": {**_EVOLVE, "t_start": -1e308,
+                                  "t_end": 1e308, "n_output": 2}},
+         "evolve-window-wider-than-the-largest-float",
+         "strictly increasing float times"),
     # fewer distinct float times in the window than n_output
     _bad(2, "evolve", {"evolve": {**_EVOLVE, "t_start": 1.0,
                                   "t_end": 1.000000000000001}},
@@ -437,6 +443,16 @@ BAD_CONFIGS = [
                        "evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 1e308,
                                   "n_output": 2}},
          "evolve-field-leaves-float-range", "float range"),
+    # Q = X F_X^2 a^6 is not a float: by F_X, by F2, by a^6 from a_start
+    _bad(3, "evolve", {"model": {"F2": 1e3, "X0": 1e-300},
+                       "evolve": {"t_end": 3.0, "X": 1e300}},
+         "evolve-Q-overflows-by-F_X", "Q left the float range by t=0.0"),
+    _bad(3, "evolve", {"model": {"F2": 4.2678e153, "X0": 1e3},
+                       "background": {"kind": "powerlaw", "p": 0.5},
+                       "evolve": {**_EVOLVE, "t_start": 1.0, "t_end": 3.0}},
+         "evolve-Q-overflows-by-F2", "Q left the float range by t=1.0"),
+    _bad(3, "evolve", {"evolve": {**_EVOLVE, "a_start": 1e300}},
+         "evolve-Q-overflows-by-a", "Q left the float range by t=0.0"),
     # both terms of the phidd coefficient overflow: not a vanishing one
     _bad(3, "evolve", {"model": {"F2": 1e10, "X0": 1e300},
                        "evolve": {"t_end": 1.0, "X": 1.05e300}},
@@ -520,18 +536,20 @@ def _run_fuzz_case(command, raw):
 
 
 # Fuzz gate on main(): shipped configs, presets and the BAD_CONFIGS rows,
-# each run by a command that reads it, with wall and scan values moved to
-# the float extremes, must end in a documented exit code and write nothing
-# but their own files under --out.  evolve is left out: its a^6 overflow
-# (test_evolve_late_time_overflow) would fail it.
-_FUZZ_COMMANDS = ("eos-scan", "wall", "regimes")
+# each run by a command that reads it, with wall, scan, evolve window and
+# start, background and model values moved to the float extremes, must end
+# in a documented exit code and write nothing but their own files under
+# --out.
+_FUZZ_COMMANDS = ("eos-scan", "wall", "regimes", "evolve")
 
 
 def _fuzz_seeds():
     """(command, config) pairs."""
     readers = {"eos_scan": ["eos-scan"], "wall_trio": ["wall"],
                "regimes_sweep": ["regimes"], "figure1": ["wall"],
-               "figure2": ["wall"], "paper-point": list(_FUZZ_COMMANDS)}
+               "figure2": ["wall"], "evolve_desitter": ["evolve"],
+               "evolve_full_quadratic": ["evolve"],
+               "paper-point": list(_FUZZ_COMMANDS)}
     seeds = []
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
         with open(path, "r", encoding="utf-8") as fh:
@@ -553,24 +571,41 @@ def _fuzz_seeds():
 
 
 # Moderate values that keep a run valid and positive float extremes; scan
-# bounds also take values outside the b, L, X0, F2 and eps0 domains.
+# bounds and the evolve, background and model values also take values
+# outside their domains.
 _POSITIVE = (1.0, 9.0, 0.5, 3.0, 5e-324, 1e-154, 4.2678e153, 1e154, 1e308)
+_ANY_SIGN = st.sampled_from(_POSITIVE + (0.0, -1.0, -1e308))
 _SCAN_NAMES = st.sampled_from(("X", "eps0", "b", "L", "X0", "F2"))
 _MUTATION = st.one_of(
     st.tuples(st.just("wall"), st.sampled_from(("b", "L")),
               st.sampled_from(_POSITIVE)),
-    st.tuples(_SCAN_NAMES, st.sampled_from(("min", "max")),
-              st.sampled_from(_POSITIVE + (0.0, -1.0, -1e308))),
+    st.tuples(_SCAN_NAMES, st.sampled_from(("min", "max")), _ANY_SIGN),
     st.tuples(_SCAN_NAMES, st.just("count"),
-              st.sampled_from((1, 2, 3, MAX_ROWS + 1))))
+              st.sampled_from((1, 2, 3, MAX_ROWS + 1))),
+    st.tuples(st.just("evolve"),
+              st.sampled_from(("t_end", "t_start", "X", "a_start", "phi")),
+              _ANY_SIGN),
+    st.tuples(st.just("background"), st.sampled_from(("H", "p")), _ANY_SIGN),
+    st.tuples(st.just("model"), st.sampled_from(("F2", "X0")), _ANY_SIGN))
+# The block a mutation adds where the config has none
+_NEW_BLOCK = {"wall": {"b": 1.0, "L": 1.0}, "evolve": _EVOLVE}
 
 
 def _mutate(doc, mutations):
-    """doc with each (block, key, value) set; a missing block is added."""
+    """doc with each (block, key, value) set; a missing block is added, and
+    H (p) on a power-law (de Sitter) background replaces it with a de
+    Sitter (power-law) one."""
     doc = json.loads(json.dumps(doc))
     for block, key, value in mutations:
-        if block == "wall":
-            entry = doc.setdefault("wall", {"b": 1.0, "L": 1.0})
+        if block in ("wall", "evolve"):
+            entry = doc.setdefault(block, dict(_NEW_BLOCK[block]))
+        elif block == "model":
+            entry = doc["model"]
+        elif block == "background":
+            entry = doc["background"]
+            if key not in entry:
+                entry = doc["background"] = {
+                    "kind": {"H": "desitter", "p": "powerlaw"}[key]}
         else:
             entry = doc.setdefault("scan", {}).setdefault(
                 block, {"min": 1.0, "max": 1.0, "count": 1})
@@ -578,7 +613,7 @@ def _mutate(doc, mutations):
     return doc
 
 
-@settings(max_examples=300, deadline=timedelta(seconds=5))
+@settings(max_examples=600, deadline=timedelta(seconds=5))
 @given(st.sampled_from(_fuzz_seeds()), st.lists(_MUTATION, max_size=3))
 def test_main_fuzz_exits_documented_and_writes_only_out(seed, mutations):
     command, doc = seed
@@ -807,10 +842,12 @@ def test_evolve_reports_drift_failure(tmp_path):
     assert "conservation: FAILED" in summary
 
 
-# Known open defect: a^6 in Q overflows at a = e^130.  Evolving in log
-# variables must turn this into a passing run.
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="Q = u^2 (X0 + u) a^6 overflows past a ~ 1e51")
+# Known open defect: a^6 in Q overflows at a = e^130, so the run exits 3
+# (Q leaves the float range at t = 118.3).  Forming Q in log variables
+# must turn this into a passing run.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Q = u^2 (X0 + u) a^6 overflows past a ~ 1e51, "
+                          "so the run exits 3")
 def test_evolve_late_time_overflow(tmp_path):
     doc = dict(BASE_DOC)
     doc["model"] = {"F2": 1e3, "X0": 1e3}
@@ -821,6 +858,39 @@ def test_evolve_late_time_overflow(tmp_path):
     for row in _rows(out / "run_trajectory.csv")[1:]:
         assert all(math.isfinite(float(cell)) for cell in row.split(","))
     assert "conservation: PASS" in _rows(out / "run_evolve_summary.txt")
+
+
+def test_evolve_drift_over_a_subnormal_start_charge(tmp_path, capsys):
+    # Q(0) = 2e-311 is subnormal, so Q/Q(0) overflows: the drift is inf,
+    # with no warning (warnings are errors here)
+    doc = {**BASE_DOC, "potential": {"kind": "quadratic", "m2": 1e-3},
+           "evolve": {"t_end": 3.0, "X": 5e-324, "phi": 709.0,
+                      "n_output": 5, "kinetic_only": False}}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = _rows(out / "run_evolve_summary.txt")
+    assert "max relative Q drift = inf" in summary
+    assert "conservation: FAILED" in summary
+
+
+def test_evolve_powerlaw_with_subnormal_p_runs_straight(tmp_path):
+    # a = (t/t_start)^5e-324 is 1.0 in floats, so X keeps its start value
+    # and phi = phi(0) + sqrt(2 X) (t - t_start)
+    doc = {**BASE_DOC, "background": {"kind": "powerlaw", "p": 5e-324},
+           "evolve": {"t_start": 1.0, "t_end": 3.0, "X": 1050.0, "phi": 2.0,
+                      "n_output": 5}}
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = [[float(c) for c in row.split(",")[:5]]
+            for row in _rows(out / "run_trajectory.csv")[1:]]
+    assert [row[0] for row in rows] == [1.0, 1.5, 2.0, 2.5, 3.0]
+    for t, a, phi, phidot, X in rows:
+        assert a == 1.0 and X == rows[0][4]
+        assert phi == pytest.approx(
+            2.0 + math.sqrt(2.0 * 1050.0) * (t - 1.0), rel=1e-15)
 
 
 def test_evolve_full_quadratic_notes_varying_potential(tmp_path):

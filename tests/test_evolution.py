@@ -409,6 +409,17 @@ def test_trajectory_build_accepts_exact_x():
     assert len(traj) == 11
 
 
+def test_trajectory_build_refuses_the_first_column_out_of_range():
+    # a^6 overflows on the second row; phi is NaN from the third
+    t, a = [0.0, 1.0, 2.0], [1.0, 1e52, 1.0]
+    X = [1050.0] * 3
+    with pytest.raises(StepFailure, match=r"^Q left the float range by t=1.0$"):
+        Trajectory.build(REF, t, a, [0.0, 0.0, math.nan], [45.0] * 3, X)
+    with pytest.raises(StepFailure, match=r"^phi left .* by t=2.0$"):
+        Trajectory.build(REF, t, [1.0] * 3, [0.0, 0.0, math.nan], [45.0] * 3,
+                         X)
+
+
 # ---------------------------------------------------------------------------
 # scaling fits
 # ---------------------------------------------------------------------------
@@ -471,6 +482,16 @@ def test_slope_rejects_rows_below_extremum():
     m = KineticModel(F2=1e3, X0=800.0)
     traj = evolve_kinetic_only(m, BG, initial_state(phidot=40.0), 2.0)
     with pytest.raises(FitDomain):
+        scaling_slope(traj)
+
+
+def test_slope_refuses_a_window_where_a_takes_one_value():
+    # from the subnormal a(1) = 5e-324, a = t^0.5 5e-324 rounds to 1e-323
+    # on every row from t = 2.25 on, so log a is one value in the window
+    traj = evolve_kinetic_only(KineticModel(F2=3.0, X0=1e3), PowerLaw(p=0.5),
+                               initial_state(X=1050.0, t=1.0, a=5e-324), 3.0)
+    assert np.all(traj.a[traj.a >= 2.0 * traj.a[0]] == 1e-323)
+    with pytest.raises(FitDomain, match="^a takes one value"):
         scaling_slope(traj)
 
 
