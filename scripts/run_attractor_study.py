@@ -47,7 +47,7 @@ def main():
                                      control)
             law, residual = fit_scaling(tr)
             slope = scaling_slope(tr)
-            drift = float(np.max(np.abs(tr.Q / tr.Q[0] - 1.0)))
+            drift, _ = tr.q_drift()
             fh.write(f"{c!r},{law.eps1!r},{law.a1!r},{slope!r},"
                      f"{residual!r},{drift!r}\n")
             print(f"c={c:9.3e}  eps1={law.eps1:9.3e}  slope={slope:+.5f}  "

@@ -3,7 +3,6 @@ homogeneous evolution, and regime classification."""
 
 from .errors import (
     KessenceError,
-    InvalidGrid,
     SingularMassMatrix,
     StepFailure,
     FitDomain,

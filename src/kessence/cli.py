@@ -266,14 +266,9 @@ def run_evolve(config: RunConfig):
     except FitDomain as exc:
         summary.append(f"slope not available: {exc}")
 
-    Q0 = float(tr.Q[0])
-    if Q0 != 0.0:
-        with np.errstate(over="ignore"):  # over a subnormal Q(0), drift = inf
-            drift = float(np.max(np.abs(tr.Q / Q0 - 1.0)))
-        summary.append(f"max relative Q drift = {_fmt(drift)}")
-    else:
-        drift = float(np.max(np.abs(tr.Q)))
-        summary.append(f"max absolute Q drift = {_fmt(drift)} (Q(0) = 0)")
+    drift, relative = tr.q_drift()
+    summary.append(f"max relative Q drift = {_fmt(drift)}" if relative else
+                   f"max absolute Q drift = {_fmt(drift)} (Q(0) = 0)")
     bound = 100.0 * ev.control.rel_tol
     summary.append(f"drift bound (100 * rel_tol) = {_fmt(bound)}")
     if not isinstance(config.potential, ConstantPotential):

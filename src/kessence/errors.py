@@ -17,17 +17,14 @@ class KessenceError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidGrid(KessenceError):
-    """A profile sample does not straddle x = 0, where the walls' midpoint sits."""
-
-
 class SingularMassMatrix(KessenceError):
     """The coefficient multiplying the field acceleration vanished or
     overflowed."""
 
 
 class StepFailure(KessenceError):
-    """Adaptive step control could not meet the requested tolerance."""
+    """An evolve could not go on: the integration failed, V'/V diverged, or
+    a column left the float range."""
 
 
 class FitDomain(KessenceError):

@@ -253,6 +253,16 @@ class Trajectory:
         return cls(model=model, t=t, a=a, phi=phi, phidot=phidot,
                    X=X, w=w, cs2=cs2, Q=Q)
 
+    def q_drift(self) -> tuple[float, bool]:
+        """(drift, relative): max |Q/Q(0) - 1| with relative True where
+        Q(0) != 0 (inf where a row's ratio to a subnormal Q(0) overflows),
+        else max |Q| with relative False."""
+        Q0 = self.Q[0]
+        if Q0 == 0.0:
+            return float(np.max(np.abs(self.Q))), False
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(self.Q / Q0 - 1.0))), True
+
 
 def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
     """phidd coefficient F_X + 2 X F_XX, guarded against overflow and
@@ -337,8 +347,8 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
 
 
 def _first_integral(X0: float, X_start: float, log_growth):
-    """(u, X) with u = X - X0 on the branch of the start state on which
-    u^2 (X0 + u) a^6 keeps its start value; log_growth is ln(a/a_start).
+    """(u, X, sqrt(2 X)) with u = X - X0 on the branch of the start state on
+    which u^2 (X0 + u) a^6 keeps its start value; log_growth is ln(a/a_start).
 
     u^2 (X0 + u) is monotone on each branch: u > 0, -2 X0/3 < u < 0 and
     0 < X < X0/3.  With e = |u| (e = X on the last branch) it reads
@@ -347,12 +357,14 @@ def _first_integral(X0: float, X_start: float, log_growth):
     so Newton closes on the root from one side without overshooting when it
     starts there: from the upper bounds (K - ln X0)/2 and K/3 on the first
     branch, and from the lower bound (K - beta ln X0)/alpha on the others.
-    u = 0 and X = 0 are equilibria and come out exact.
+    u = 0 and X = 0 are equilibria and come out exact.  Where X on the last
+    branch is below the normal range, sqrt(2 X) is formed from v = ln X.
     """
     L = np.asarray(log_growth, dtype=float)
     u_start = X_start - X0
     if u_start == 0.0 or X_start == 0.0:
-        return np.full(L.shape, u_start), np.full(L.shape, X_start)
+        return (np.full(L.shape, u_start), np.full(L.shape, X_start),
+                np.full(L.shape, math.sqrt(2.0 * X_start)))
     low = 3.0 * X_start < X0  # the branch 0 < X < X0/3, solved in ln X
     if low:
         alpha, beta, sigma, e_start = 1.0, 2.0, -1.0, X_start
@@ -375,8 +387,10 @@ def _first_integral(X0: float, X_start: float, log_growth):
             break
     e = np.exp(v)
     if low:
-        return e - X0, e
-    return sigma * e, X0 + sigma * e
+        return e - X0, e, np.where(e < sys.float_info.min, np.exp(
+            0.5 * (v + math.log(2.0))), np.sqrt(2.0 * e))
+    X = X0 + sigma * e
+    return sigma * e, X, np.sqrt(2.0 * X)
 
 
 def _branch_point_distance(X0: float, X_start: float) -> float:
@@ -421,8 +435,8 @@ def _panel_edges(background: BackgroundSpec, t0: float, t_end: float,
 
 def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
                      t: np.ndarray) -> tuple:
-    """X at the times t, and the field's path length: the integral of
-    sqrt(2 X) from t[0] to each t.
+    """X and sqrt(2 X) at the times t, and the field's path length: the
+    integral of sqrt(2 X) from t[0] to each t.
 
     The path is integrated on the panels of `_panel_edges`, each by the
     antiderivative of its 16-node Chebyshev interpolant, evaluated on the
@@ -435,10 +449,9 @@ def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
                          _branch_point_distance(X0, X_start))
     half = 0.5 * np.diff(edges)
     nodes = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
-    _, X = _first_integral(X0, X_start, background.log_scale_ratio(
+    _, X, speed = _first_integral(X0, X_start, background.log_scale_ratio(
         np.concatenate((t, nodes.ravel())), t0))
-    speed = np.sqrt(2.0 * X[n:])
-    coef = speed.reshape(nodes.shape) @ _CHEB_INTEGRAL.T * half[:, None]
+    coef = speed[n:].reshape(nodes.shape) @ _CHEB_INTEGRAL.T * half[:, None]
     # Each panel's antiderivative on its rows, by Clenshaw's recurrence,
     # after the integrals of the panels before it: every T_k(1) is 1, so a
     # panel's integral is the sum of its coefficients.
@@ -452,7 +465,7 @@ def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
     for k in range(c.shape[0] - 1, 0, -1):
         b1, b2 = c[k] + x2 * b1 - b2, b1
     path = before.repeat(rows) + (c[0] + x * b1 - b2)
-    return X[:n], path
+    return X[:n], speed[:n], path
 
 
 def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
@@ -469,11 +482,11 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     t, a = _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
     with np.errstate(all="ignore"):  # a column that overflows fails in build
-        X, path = _kinetic_columns(model.X0, init.X, background, t)
+        X, speed, path = _kinetic_columns(model.X0, init.X, background, t)
         phi = init.phi + math.copysign(1.0, init.phidot) * path
-        X[0], phi[0] = init.X, init.phi
-        return Trajectory.build(model, t, a, phi, np.copysign(
-            np.sqrt(2.0 * X), init.phidot), X)
+        X[0], speed[0], phi[0] = init.X, math.sqrt(2.0 * init.X), init.phi
+        return Trajectory.build(model, t, a, phi,
+                                np.copysign(speed, init.phidot), X)
 
 
 def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:

@@ -226,14 +226,10 @@ def sound_speed(model: KineticModel, X):
     """
     F_X = eval_F_X(model, X)
     t2 = 2.0 * X * eval_F_XX(model, X)
-    cs2, pole = guarded_div(F_X, F_X, t2)
     d = X - model.X0
     lost = (F_X == 0.0) & (t2 == 0.0) & (model.F2 > 0.0) & (d != 0.0)
-    if not np.any(lost):
-        return cs2, pole
-    reduced, reduced_pole = guarded_div(d, d, 2.0 * X)
-    return (np.where(lost, reduced, cs2)[()],
-            np.where(lost, reduced_pole, pole)[()])
+    num = np.where(lost, d, F_X)
+    return guarded_div(num, num, np.where(lost, 2.0 * X, t2))
 
 
 # ---------------------------------------------------------------------------

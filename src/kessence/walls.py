@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_ROWS, InvalidGrid
+from .errors import MAX_ROWS
 
 PROFILE_AMPLITUDE = math.pi  # fixed: ties the bump height to ~ 2*pi
 
@@ -153,11 +153,11 @@ def sample_sharpness(s: ProfileSample) -> SharpnessReport:
     half maximum, and the trapezoidal integral of X_mag over the grid. Each
     half-level crossing interpolates from the nearest point below half
     toward the spike, or is the grid edge where that side has no such point.
-    The grid must straddle x = 0.
+    The grid must straddle x = 0, or it is a ValueError.
     """
     pos = s.x > 0
     if not pos.any() or pos.all():
-        raise InvalidGrid("sharpness grid must straddle x = 0 (walls sit at +-L/2)")
+        raise ValueError("sharpness grid must straddle x = 0 (walls sit at +-L/2)")
     i_peak = np.flatnonzero(pos)[np.argmax(s.X_mag[pos])]
     peak_value = float(s.X_mag[i_peak])
     half = 0.5 * peak_value

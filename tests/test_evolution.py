@@ -328,7 +328,7 @@ def test_first_integral_matches_mpmath_cubic(bg, t0, X_start, t_span):
     X0, F2 = REF.X0, REF.F2
     L = bg.log_scale_ratio(traj.t, t0)
     ref = _cubic_root(X0, init.X, L)
-    u, X = _first_integral(X0, init.X, L)
+    u, X, _ = _first_integral(X0, init.X, L)
     for i, (u_ref, X_ref) in enumerate(ref):
         # u, and X where it is far below X0, to the rounding of 6 ln a
         tol = 1e-15 * (8.0 + 6.0 * L[i])
@@ -349,7 +349,7 @@ def test_first_integral_far_above_extremum():
     # u >> X0: u^2 (X0 + u) is u^3 to the last bit, so u = u0 a^-2, and
     # Newton starts inside the float range though u0^3 is not.
     L = np.array([0.0, 1.0, 10.0, 100.0])
-    u, X = _first_integral(1e-300, 1e300, L)
+    u, X, _ = _first_integral(1e-300, 1e300, L)
     assert np.allclose(u, 1e300 * np.exp(-2.0 * L), rtol=1e-13, atol=0.0)
     assert np.array_equal(X, 1e-300 + u)
 
@@ -374,6 +374,19 @@ def test_phi_matches_tight_dop853(bg, t0, X_start, n_output):
                     t_eval=traj.t).y[0]
     # relative to the path length, which far below X0/3 is tiny
     assert np.all(np.abs(traj.phi - ref) <= 1e-11 * ref)
+
+
+@pytest.mark.parametrize("X_start", [5e-324, 1e-321, 1e-318])
+def test_kinetic_only_subnormal_start_keeps_phi_and_phidot(X_start):
+    # Far below X0/3, X = X(0) a^-6 leaves the normal range at once, yet
+    # phidot = sqrt(2 X(0)) e^-3t and phi, its integral, are normal floats.
+    init = initial_state(X=X_start)
+    traj = evolve_kinetic_only(REF, BG, init, 3.0, StepControl(n_output=31))
+    speed = math.sqrt(2.0 * init.X)
+    assert np.allclose(traj.phidot, speed * np.exp(-3.0 * traj.t),
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(traj.phi, -speed * np.expm1(-3.0 * traj.t) / 3.0,
+                       rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

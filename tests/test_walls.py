@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from kessence.errors import InvalidGrid
 from kessence.walls import (
     ProfileSample,
     WallProfile,
@@ -244,7 +243,7 @@ def test_sharpness_of_a_written_sample():
     right = s.x > 0.0
     half = ProfileSample(x=s.x[right], phi=s.phi[right],
                          dphi_dx=s.dphi_dx[right], X_mag=s.X_mag[right])
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(ValueError, match="must straddle x = 0"):
         sample_sharpness(half)
 
 
