@@ -18,8 +18,8 @@ class KessenceError(Exception):
 
 
 class SingularMassMatrix(KessenceError):
-    """The coefficient multiplying the field acceleration vanished or
-    overflowed."""
+    """The coefficient multiplying the field acceleration vanished,
+    overflowed, or fell below the normal float range in an integration."""
 
 
 class StepFailure(KessenceError):

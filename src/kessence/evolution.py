@@ -25,10 +25,11 @@ takes ln a from the background in closed form and solves the first
 integral for u on the branch of u(0) (u > 0, -2 X0/3 < u < 0, or
 0 < X < X0/3), which resolves the decaying deviation to full relative
 precision however far it has decayed; phi is a quadrature of sqrt(2 X).
-(An integrator carrying phid and forming u by subtraction loses ~X0/u in
-relative precision.)  `evolve_full` integrates the second-order equation
-in (phi, phid) with scipy's DOP853, which is imported on first use, so the
-two paths make an independent cross-check under a constant V.
+An integrator carrying phid and forming u by subtraction loses ~X0/u in
+relative precision, so `evolve_full` hands a constant V to
+`evolve_kinetic_only` and integrates the second-order equation in
+(phi, phid) with scipy's DOP853, which is imported on first use, only for
+a varying V.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .errors import MAX_ROWS, FitDomain, SingularMassMatrix, StepFailure
 from .model import (
+    ConstantPotential,
     KineticModel,
     PotentialSpec,
     ScalingSolution,
@@ -307,27 +309,39 @@ def _check_window(background: BackgroundSpec, init: FieldState,
 def evolve_full(model: KineticModel, potential: PotentialSpec,
                 background: BackgroundSpec, init: FieldState, t_end: float,
                 control: StepControl = StepControl()) -> Trajectory:
-    """Integrate the full second-order field equation in (phi, phidot).
+    """Evolve the full second-order field equation.
 
-    The potential enters only through its logarithmic slope V'/V; a
-    constant potential therefore reduces this exactly to the kinetic
-    equation.  The phidd coefficient is checked on every right-hand-side
-    evaluation and SingularMassMatrix is raised if it degenerates.
+    A constant V (V'/V = 0) reduces it to the kinetic equation, which
+    `evolve_kinetic_only` solves from its first integral; a varying V is
+    integrated in (phi, phidot) with DOP853.  Each right-hand side raises
+    StepFailure on a state that is not finite, and SingularMassMatrix on a
+    phidd coefficient that degenerates or is below the normal float range.
     """
+    if isinstance(potential, ConstantPotential):
+        return evolve_kinetic_only(model, background, init, t_end, control)
+
     def rhs(t, y):
         phi, phidot = y
         X = 0.5 * phidot * phidot
+        if not (math.isfinite(phi) and math.isfinite(X)):
+            name = ("phi" if not math.isfinite(phi) else
+                    "phidot" if not math.isfinite(phidot) else "X")
+            raise StepFailure(f"{name} left the float range by t={t}")
         coef = _mass_coefficient(model, X, t)
+        if abs(coef) < sys.float_info.min:
+            raise SingularMassMatrix(
+                f"F_X + 2*X*F_XX = {coef} at t={t}, X={X} is below the "
+                "normal float range; the field acceleration has lost its "
+                "precision there")
         F_X = eval_F_X(model, X)
-        force = 3.0 * background.hubble(t) * F_X * phidot
         try:
             ratio = potential.log_slope(phi)
         except ZeroDivisionError:
             raise StepFailure(
                 f"V'/V diverges at phi=0 (t={t}); the potential term is "
                 "singular there") from None
-        if ratio != 0.0:
-            force += (2.0 * X * F_X - eval_F(model, X)) * ratio
+        force = (3.0 * background.hubble(t) * F_X * phidot
+                 + (2.0 * X * F_X - eval_F(model, X)) * ratio)
         return (phidot, -force / coef)
 
     t, a = _check_window(background, init, t_end, control.n_output)

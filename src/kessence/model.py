@@ -115,10 +115,6 @@ class ConstantPotential:
     def value(self, phi):
         return self.V0 + 0.0 * phi
 
-    def log_slope(self, phi):
-        """V'/V, identically zero."""
-        return 0.0 * phi
-
 
 @dataclass(frozen=True)
 class QuadraticPotential:

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -35,8 +35,8 @@ from kessence.config import (
 from kessence.errors import ConfigError, StepFailure
 from kessence.evolution import DeSitter, initial_state
 from kessence.model import (
-    ConstantPotential,
     KineticModel,
+    QuadraticPotential,
     classify_regimes,
     cs2_thinwall_approx,
     eos_w,
@@ -314,6 +314,10 @@ def _bad(code, command, block_updates, case_id, fragment=""):
 
 
 _EVOLVE = {"t_end": 1.0, "X": 1050.0}
+with open(os.path.join(CONFIG_DIR, "evolve_full_quadratic.json"), "r",
+          encoding="utf-8") as _fh:
+    _FULL_QUADRATIC = json.load(_fh)
+_SUBNORMAL_F2 = {**_FULL_QUADRATIC["model"], "F2": 5e-324}
 _REGIMES_SCAN = {"eps0": {"min": 0.1, "max": 0.1, "count": 1},
                  "F2": {"min": 10.0, "max": 10.0, "count": 1}}
 
@@ -462,6 +466,22 @@ BAD_CONFIGS = [
     _bad(3, "evolve", {"model": {"F2": 1e10, "X0": 1e300},
                        "evolve": {"t_end": 1.0, "X": 1.05e300}},
          "evolve-coefficient-overflows", "overflow"),
+    # configs/evolve_full_quadratic.json with F2 = 5e-324: the phidd
+    # coefficient is subnormal, so phidd has lost its precision (with
+    # phi = -1e308 as well, DOP853 would creep on for seconds)
+    _bad(3, "evolve", {**_FULL_QUADRATIC, "model": _SUBNORMAL_F2},
+         "evolve-full-subnormal-coefficient", "below the normal float range"),
+    _bad(3, "evolve", {**_FULL_QUADRATIC, "model": _SUBNORMAL_F2,
+                       "evolve": {**_FULL_QUADRATIC["evolve"],
+                                  "phi": -1e308}},
+         "evolve-full-subnormal-coefficient-far-phi",
+         "below the normal float range"),
+    # with F2 = 1e-150 the coefficient is normal, but the first step's
+    # phidd takes phidot past the largest float
+    _bad(3, "evolve", {**_FULL_QUADRATIC, "model": {
+        **_FULL_QUADRATIC["model"], "F2": 1e-150}},
+         "evolve-full-phidot-leaves-float-range",
+         "phidot left the float range by t=1.0000000000000002"),
 ]
 
 
@@ -620,6 +640,10 @@ def _mutate(doc, mutations):
 
 @settings(max_examples=600, deadline=timedelta(seconds=5))
 @given(st.sampled_from(_fuzz_seeds()), st.lists(_MUTATION, max_size=3))
+# Run on every pass: with a subnormal phidd coefficient DOP853 shrinks its
+# steps for seconds, so this draw needs the coefficient refused in time
+@example(("evolve", _FULL_QUADRATIC),
+         [("model", "F2", 5e-324), ("evolve", "phi", -1e308)])
 def test_main_fuzz_exits_documented_and_writes_only_out(seed, mutations):
     command, doc = seed
     _run_fuzz_case(command, json.dumps(_mutate(doc, mutations)).encode())
@@ -834,17 +858,20 @@ def test_evolve_short_tail_has_no_fit(tmp_path):
 
 
 def test_evolve_reports_drift_failure(tmp_path):
-    # A full-mode integration under a constant V, at a loose abs_tol, drifts
-    # off the first integral Q; the kinetic-only mode solves Q exactly.
-    doc = dict(BASE_DOC)
-    doc["evolve"] = {"t_end": 3.0, "X": 1050.0, "kinetic_only": False,
-                     "rel_tol": 1e-12, "abs_tol": 1.0}
-    cfg = _write(tmp_path, doc)
+    # Under a constant V both modes solve the first integral, and by t = 10
+    # u = X - X0 = 4.8e-12 lies below the printed-X floor
+    # ulp(X0) / (200 * rel_tol): the written X cannot hold Q to the bound.
     out = tmp_path / "o"
-    assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    summary = _rows(out / "run_evolve_summary.txt")
-    assert "drift bound (100 * rel_tol) = 1e-10" in summary
-    assert "conservation: FAILED" in summary
+    for kinetic_only in (True, False):
+        doc = {**BASE_DOC, "evolve": {"t_end": 10.0, "X": 1050.0,
+                                      "kinetic_only": kinetic_only}}
+        cfg = _write(tmp_path, doc)
+        assert _run(["evolve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        summary = _rows(out / "run_evolve_summary.txt")
+        assert "max relative Q drift = 0.008121309139772603" in summary
+        assert "drift bound (100 * rel_tol) = 1e-06" in summary
+        assert "conservation: FAILED" in summary
 
 
 # Known open defect: a^6 in Q overflows at a = e^130, so the run exits 3
@@ -894,9 +921,10 @@ def test_evolve_integration_failure_exits_three(tmp_path, capsys,
     with pytest.raises(StepFailure,
                        match=r"^integration failed: step size too small$"):
         evolution.evolve_full(KineticModel(F2=1e3, X0=1e3),
-                              ConstantPotential(V0=1.0), DeSitter(H=1.0),
-                              initial_state(X=1050.0), 1.0)
-    doc = {**BASE_DOC, "evolve": {**_EVOLVE, "kinetic_only": False}}
+                              QuadraticPotential(m2=1e-4), DeSitter(H=1.0),
+                              initial_state(phi=5.0, X=1050.0), 1.0)
+    doc = {**BASE_DOC, "potential": {"kind": "quadratic", "m2": 1e-4},
+           "evolve": {**_EVOLVE, "phi": 5.0, "kinetic_only": False}}
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
     assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
@@ -918,6 +946,23 @@ def test_evolve_drift_over_a_subnormal_start_charge(tmp_path, capsys):
     summary = _rows(out / "run_evolve_summary.txt")
     assert "max relative Q drift = inf" in summary
     assert "conservation: FAILED" in summary
+
+
+def test_evolve_constant_potential_with_subnormal_F2_runs(tmp_path):
+    # The first integral never divides by the phidd coefficient, so a
+    # subnormal F2 under a constant V runs in both modes, to one trajectory
+    out = tmp_path / "o"
+    for kinetic_only in (True, False):
+        doc = {**_FULL_QUADRATIC, "model": _SUBNORMAL_F2,
+               "potential": {"kind": "constant", "V0": 1.0},
+               "evolve": {**_FULL_QUADRATIC["evolve"],
+                          "kinetic_only": kinetic_only},
+               "output": {"stem": f"k{kinetic_only:d}"}}
+        cfg = _write(tmp_path, doc)
+        assert _run(["evolve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    assert filecmp.cmp(out / "k1_trajectory.csv", out / "k0_trajectory.csv",
+                       shallow=False)
 
 
 def test_evolve_powerlaw_with_subnormal_p_runs_straight(tmp_path):
@@ -1236,7 +1281,7 @@ def test_out_flag_overrides_config_directory(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 _SCIPY_PROBE = """
-import os, sys
+import json, os, sys
 from kessence.cli import main
 out = sys.argv[1]
 for argv in (["eos-scan", "--preset", "paper-point"],
@@ -1244,16 +1289,24 @@ for argv in (["eos-scan", "--preset", "paper-point"],
              ["regimes", "--preset", "paper-point"],
              ["evolve", "--preset", "paper-point"]):
     assert main([*argv, "--out", out, "--quiet"]) == 0, argv
-print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy"}))
 full = os.path.join(sys.argv[2], "evolve_full_quadratic.json")
+constant = os.path.join(out, "constant.json")
+with open(full, "r", encoding="utf-8") as fh:
+    doc = json.load(fh)
+doc["potential"] = {"kind": "constant", "V0": 1.0}
+with open(constant, "w", encoding="utf-8") as fh:
+    json.dump(doc, fh)
+assert main(["evolve", "--config", constant, "--out", out, "--quiet"]) == 0
+print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy"}))
 assert main(["evolve", "--config", full, "--out", out, "--quiet"]) == 0
 print("scipy" in sys.modules)
 """
 
 
-def test_only_full_mode_evolve_loads_scipy(tmp_path):
-    # In a fresh interpreter: the kinetic-only evolve and the other three
-    # commands run without importing scipy; a full-mode evolve imports it.
+def test_only_varying_potential_full_evolve_loads_scipy(tmp_path):
+    # In a fresh interpreter: the other three commands, the kinetic-only
+    # evolve and a full-mode evolve under a constant V run without
+    # importing scipy; a full-mode evolve with a varying V imports it.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join([src] + [p for p in (
         os.environ.get("PYTHONPATH"),) if p])

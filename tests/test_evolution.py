@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from kessence import evolution
 from kessence.errors import FitDomain, SingularMassMatrix, StepFailure
 from kessence.evolution import (
     _first_integral,
@@ -133,8 +134,8 @@ def test_flat_kinetic_function_rejected():
     with pytest.raises(SingularMassMatrix):
         evolve_kinetic_only(m, BG, initial_state(X=2.0), 1.0)
     with pytest.raises(SingularMassMatrix):
-        evolve_full(m, ConstantPotential(V0=1.0), BG, initial_state(X=2.0),
-                    1.0)
+        evolve_full(m, QuadraticPotential(m2=0.1), BG,
+                    initial_state(phi=1.0, X=2.0), 1.0)
 
 
 def test_singular_start_rejected():
@@ -224,19 +225,28 @@ BRANCH_STARTS = [1.05e3, 7e2, 2e2, 1e-3]
 BACKGROUNDS = [(BG, 0.0), (PowerLaw(p=0.5), 1.0)]
 
 
-def test_full_reduces_to_kinetic_for_constant_potential():
-    # Two independent paths: the first integral and a DOP853 integration
-    # of the full equation, at t = 3 where the latter is still accurate.
+def test_full_reduces_to_kinetic_for_constant_potential(monkeypatch):
+    # A constant V is the first integral's case: evolve_full returns the
+    # kinetic-only columns bit for bit and integrates no ODE.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ivp called under a constant V")
+
+    monkeypatch.setattr(evolution, "solve_ivp", no_solve, raising=False)
     control = StepControl()
+    columns = ("t", "a", "phi", "phidot", "X", "w", "cs2", "Q")
     for bg, t0 in BACKGROUNDS:
-        for X_start in BRANCH_STARTS[:3]:
-            init = initial_state(X=X_start, phi=1.0, t=t0)
+        starts = [initial_state(X=X_start, phi=1.0, t=t0)
+                  for X_start in BRANCH_STARTS]
+        starts += [initial_state(phidot=-math.sqrt(2.0 * 1.05e3), phi=1.0,
+                                 t=t0),
+                   initial_state(phidot=0.0, phi=1.0, t=t0)]
+        for init in starts:
             kin = evolve_kinetic_only(REF, bg, init, t0 + 3.0, control)
             full = evolve_full(REF, ConstantPotential(V0=0.7), bg, init,
                                t0 + 3.0, control)
-            assert (np.max(np.abs(full.X / kin.X - 1.0))
-                    <= 10.0 * control.rel_tol)
-            assert np.max(np.abs(full.phi - kin.phi)) <= 1e-6
+            for name in columns:
+                assert (getattr(full, name).tobytes()
+                        == getattr(kin, name).tobytes()), (init, name)
 
 
 @pytest.mark.parametrize("c", [0.01, 0.05, 0.2, 0.5])
