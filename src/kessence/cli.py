@@ -70,18 +70,22 @@ def _cells(column) -> list:
     """CSV cells of a column slice: floats as their shortest round-trip
     decimal (repr), NaN as the NAN token; strings as they are.
 
-    A run of equal floats (one bit pattern, so -0.0 and 0.0 differ, or any
-    NaNs) is formatted once, at its first row, and repeated."""
+    Each distinct float of the slice (one bit pattern, so -0.0 and 0.0
+    differ, or any NaN) is formatted once, wherever it repeats."""
     column = np.asarray(column)
     if column.dtype.kind != "f":
         return column.tolist()
-    nan, bits = np.isnan(column), column.view(np.int64)
-    repeated = (bits[1:] == bits[:-1]) | (nan[1:] & nan[:-1])
-    if repeated.any():
-        # The first values of the runs have no repeated neighbour.
-        starts = np.flatnonzero(np.concatenate(([True], ~repeated)))
-        return np.repeat(np.array(_cells(column[starts]), dtype=object),
-                         np.diff(starts, append=column.size)).tolist()
+    # Every NaN takes the key -1, a NaN's bits, so no number shares it.
+    nan = np.isnan(column)
+    key = np.where(nan, -1, column.view(np.int64))
+    order = np.argsort(key)
+    new = np.concatenate(([True], key[order[1:]] != key[order[:-1]]))
+    if not new.all():
+        # The distinct values have no repeat, so they take the path below.
+        group = np.empty_like(order)
+        group[order] = np.cumsum(new) - 1
+        return np.array(_cells(column[order[new]]),
+                        dtype=object)[group].tolist()
     cells = list(map(repr, column.tolist()))
     for i in np.flatnonzero(nan).tolist():
         cells[i] = "NAN"

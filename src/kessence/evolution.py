@@ -321,7 +321,10 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
         return evolve_kinetic_only(model, background, init, t_end, control)
 
     def rhs(t, y):
-        phi, phidot = y
+        # On Python floats, which run faster than numpy scalars. Their `/`
+        # raises on a zero divisor, which none meets: |coef| is normal, a
+        # PowerLaw's t >= init.t > 0, and phi = 0 is caught below.
+        t, (phi, phidot) = float(t), y.tolist()
         X = 0.5 * phidot * phidot
         if not (math.isfinite(phi) and math.isfinite(X)):
             name = ("phi" if not math.isfinite(phi) else

@@ -1171,6 +1171,29 @@ def test_cells_on_runs_match_repr_per_cell(runs, step):
     assert cli._cells(column) == _plain_cells(column)
 
 
+@given(st.lists(st.sampled_from(_EDGE_FLOATS.tolist() + [3.0, -2.5, 1e-5]),
+                max_size=200),
+       st.integers(1, 3))
+def test_cells_on_repeats_in_any_order_match_repr_per_cell(values, step):
+    # Repeats that are not neighbours: NaN payloads and signs, -0.0 and 0.0,
+    # infinities and subnormals, each formatted once per slice
+    column = np.array(values, dtype=float)[::step]
+    assert cli._cells(column) == _plain_cells(column)
+
+
+def test_write_file_repeats_across_chunks(tmp_path):
+    # Ten values cycling row by row, so no two neighbours are equal
+    cycle = np.array([0.1, -0.0, 0.0, np.nan, _nan_with(1, 7), 2.5, np.inf,
+                      5e-324, -1e300, 0.1 + 0.2])
+    columns = [np.tile(cycle, 300), np.arange(3000.0) / 7.0]
+    assert 3000 > 2 * cli.CHUNK_ROWS
+    path = tmp_path / "repeats.csv"
+    cli._write_file(str(path), ["a,b"], columns)
+    expect = "a,b\n" + "".join(
+        ",".join(row) + "\n" for row in zip(*map(_plain_cells, columns)))
+    assert path.read_bytes() == expect.encode("utf-8")
+
+
 def test_write_file_runs_across_chunks(tmp_path):
     # Runs of 7 to 700 rows, so several cross a CHUNK_ROWS boundary.
     lengths = [700, 7, 331, 1, 1200, 761]

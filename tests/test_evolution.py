@@ -1,6 +1,7 @@
 """Tests for background evolution: integrators, invariant, scaling fits."""
 
 import math
+import os
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from kessence import evolution
+from kessence.config import load_config
 from kessence.errors import FitDomain, SingularMassMatrix, StepFailure
 from kessence.evolution import (
     _first_integral,
@@ -30,6 +32,9 @@ from kessence.model import (
     KineticModel,
     QuadraticPotential,
     ScalingSolution,
+    eval_F,
+    eval_F_X,
+    eval_F_XX,
     scaling_cs2_of_a,
 )
 
@@ -247,6 +252,50 @@ def test_full_reduces_to_kinetic_for_constant_potential(monkeypatch):
             for name in columns:
                 assert (getattr(full, name).tobytes()
                         == getattr(kin, name).tobytes()), (init, name)
+
+
+def _numpy_scalar_rhs(model, potential, background):
+    """The full-mode right-hand side on the numpy scalars solve_ivp passes,
+    with evolve_full's operations in its order and without its guards."""
+    def rhs(t, y):
+        phi, phidot = y
+        X = 0.5 * phidot * phidot
+        F_X = eval_F_X(model, X)
+        coef = F_X + 2.0 * X * eval_F_XX(model, X)
+        force = (3.0 * background.hubble(t) * F_X * phidot
+                 + (2.0 * X * F_X - eval_F(model, X))
+                 * potential.log_slope(phi))
+        return (phidot, -force / coef)
+    return rhs
+
+
+_FULL_QUADRATIC = load_config(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs",
+    "evolve_full_quadratic.json"))
+
+
+@pytest.mark.parametrize("model,potential,background,init,t_end,control", [
+    (_FULL_QUADRATIC.model, _FULL_QUADRATIC.potential,
+     _FULL_QUADRATIC.background, _FULL_QUADRATIC.evolve.init,
+     _FULL_QUADRATIC.evolve.t_end, _FULL_QUADRATIC.evolve.control),
+    (REF, QuadraticPotential(m2=0.3), PowerLaw(p=2.0 / 3.0),
+     initial_state(phi=2.0, X=950.0, t=0.5), 4.0,
+     StepControl(rel_tol=1e-9, abs_tol=1e-12, n_output=101)),
+], ids=["evolve_full_quadratic", "powerlaw-below-X0"])
+def test_full_mode_bits_match_numpy_scalar_rhs(model, potential, background,
+                                               init, t_end, control):
+    # evolve_full forms its right-hand side on Python floats; each step
+    # must give the same IEEE result as on numpy scalars, so the same bits.
+    traj = evolve_full(model, potential, background, init, t_end, control)
+    sol = solve_ivp(_numpy_scalar_rhs(model, potential, background),
+                    (init.t, t_end), (init.phi, init.phidot),
+                    method="DOP853",
+                    rtol=control.rel_tol / evolution._SOLVER_MARGIN,
+                    atol=control.abs_tol / evolution._SOLVER_MARGIN,
+                    t_eval=traj.t)
+    assert sol.success
+    assert traj.phi.tobytes() == sol.y[0].tobytes()
+    assert traj.phidot.tobytes() == sol.y[1].tobytes()
 
 
 @pytest.mark.parametrize("c", [0.01, 0.05, 0.2, 0.5])
