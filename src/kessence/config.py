@@ -291,11 +291,12 @@ def serialize_config(config: RunConfig) -> str:
         doc["scan"] = {name: _fields(r) for name, r in config.scan.items()}
     e = config.evolve
     if e is not None:
-        # The state is written as phidot, which an X-given config parsed to.
-        doc["evolve"] = {"t_end": e.t_end, "phi": e.init.phi,
-                         "phidot": e.init.phidot, "t_start": e.init.t,
-                         "a_start": e.init.a, **_fields(e.control),
-                         "kinetic_only": e.kinetic_only}
+        # X where phidot = sqrt(2 X) to the bit (any X-given start), else phidot
+        state = ({"X": e.init.X} if np.sqrt(2.0 * e.init.X).hex()
+                 == float(e.init.phidot).hex() else {"phidot": e.init.phidot})
+        doc["evolve"] = {"t_end": e.t_end, "phi": e.init.phi, **state,
+                         "t_start": e.init.t, "a_start": e.init.a,
+                         **_fields(e.control), "kinetic_only": e.kinetic_only}
     doc["output"] = _fields(config.output)
     return json.dumps(doc, indent=2) + "\n"
 

@@ -160,34 +160,33 @@ BackgroundSpec = Union[DeSitter, PowerLaw]
 
 @dataclass(frozen=True)
 class FieldState:
-    """Instantaneous homogeneous state (t, a, phi, phidot)."""
+    """Instantaneous homogeneous state (t, a, phi, phidot, X).  Both phidot
+    and X are held, as neither gives the other back in floats: X = 1000.0
+    returns as 1000.0000000000001, a subnormal X loses bits of phidot."""
 
     t: float
     a: float
     phi: float
     phidot: float
+    X: float
 
     def __post_init__(self):
         if not self.a > 0.0:
             raise ValueError(f"scale factor must be positive, got {self.a}")
-        if not math.isfinite(self.X):
+        if not (math.isfinite(self.X) and math.isfinite(self.phidot)):
             raise ValueError(
                 f"X = phidot^2/2 must be finite, got phidot={self.phidot}")
-
-    @property
-    def X(self) -> float:
-        return 0.5 * self.phidot * self.phidot
 
 
 def initial_state(phi: float = 0.0, *, phidot: Optional[float] = None,
                   X: Optional[float] = None, t: float = 0.0,
                   a: float = 1.0) -> FieldState:
-    """Build a FieldState from either phidot or X.
+    """Build a FieldState from either phidot or X, keeping the one given.
 
-    Exactly one of `phidot` / `X` must be given.  When X is given the
-    positive branch phidot = +sqrt(2 X) is chosen; the kinetic equation
-    is invariant under (phi, phidot) -> (-phi, -phidot) so no generality
-    is lost.
+    Exactly one of `phidot` / `X` must be given; the other is derived from
+    it.  When X is given the positive branch phidot = +sqrt(2 X) is chosen;
+    the kinetic equation is invariant under (phi, phidot) -> (-phi, -phidot)
+    so no generality is lost.
     """
     if (phidot is None) == (X is None):
         raise ValueError("give exactly one of phidot= or X=")
@@ -195,7 +194,8 @@ def initial_state(phi: float = 0.0, *, phidot: Optional[float] = None,
         if X < 0.0:
             raise ValueError(f"X must be non-negative, got {X}")
         phidot = math.sqrt(2.0 * X)
-    return FieldState(t=t, a=a, phi=phi, phidot=phidot)
+    return FieldState(t=t, a=a, phi=phi, phidot=phidot,
+                      X=0.5 * phidot * phidot if X is None else X)
 
 
 @dataclass(frozen=True)
@@ -266,9 +266,9 @@ class Trajectory:
             return float(np.max(np.abs(self.Q / Q0 - 1.0))), True
 
 
-def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
-    """phidd coefficient F_X + 2 X F_XX, guarded against overflow and
-    degeneracy."""
+def _mass_coefficient(model: KineticModel, X: float, t: float) -> tuple:
+    """(coef, F_X): the phidd coefficient F_X + 2 X F_XX, guarded against
+    overflow and degeneracy, and the F_X it was formed from."""
     F_X = eval_F_X(model, X)
     curv = 2.0 * X * eval_F_XX(model, X)
     coef = F_X + curv
@@ -280,7 +280,7 @@ def _mass_coefficient(model: KineticModel, X: float, t: float) -> float:
         raise SingularMassMatrix(
             f"F_X + 2*X*F_XX vanished at t={t}, X={X}; "
             "the field acceleration is undetermined there")
-    return coef
+    return coef, F_X
 
 
 def _check_window(background: BackgroundSpec, init: FieldState,
@@ -330,13 +330,12 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
             name = ("phi" if not math.isfinite(phi) else
                     "phidot" if not math.isfinite(phidot) else "X")
             raise StepFailure(f"{name} left the float range by t={t}")
-        coef = _mass_coefficient(model, X, t)
+        coef, F_X = _mass_coefficient(model, X, t)
         if abs(coef) < sys.float_info.min:
             raise SingularMassMatrix(
                 f"F_X + 2*X*F_XX = {coef} at t={t}, X={X} is below the "
                 "normal float range; the field acceleration has lost its "
                 "precision there")
-        F_X = eval_F_X(model, X)
         try:
             ratio = potential.log_slope(phi)
         except ZeroDivisionError:
@@ -501,7 +500,7 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     with np.errstate(all="ignore"):  # a column that overflows fails in build
         X, speed, path = _kinetic_columns(model.X0, init.X, background, t)
         phi = init.phi + math.copysign(1.0, init.phidot) * path
-        X[0], speed[0], phi[0] = init.X, math.sqrt(2.0 * init.X), init.phi
+        X[0], speed[0], phi[0] = init.X, abs(init.phidot), init.phi
         return Trajectory.build(model, t, a, phi,
                                 np.copysign(speed, init.phidot), X)
 

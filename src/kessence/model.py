@@ -297,10 +297,11 @@ def cs2_thinwall_approx(model: KineticModel):
 def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
     """Sound speed along the scaling solution.
 
-    mode="exact" evaluates (X - X0)/(3 X - X0) at X = X0 (1 + eps1 (a/a1)^-3),
-    NaN at its pole 3 X = X0; mode="first_order" evaluates
-    eps1/2 * (a/a1)^-3, which has no pole. For |eps1| << 1 the two agree to
-    O(eps1^2).
+    mode="exact" evaluates (X - X0)/(3 X - X0) at X = X0 (1 + decay), with
+    decay = eps1 (a/a1)^-3, as decay/(2 + 3 decay): formed without X - X0, it
+    keeps its relative precision however small decay is. NaN at its pole
+    decay = -2/3. mode="first_order" evaluates decay/2, which has no pole;
+    for |eps1| << 1 the two agree to O(eps1^2).
     """
     a = np.asarray(a, dtype=float)
     if not np.all(a > 0):
@@ -310,8 +311,7 @@ def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
         return 0.5 * decay
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'first_order'")
-    X = s.X0 * (1.0 + decay)
-    return guarded_div(X - s.X0, 3.0 * X, -s.X0)[0]
+    return guarded_div(decay, 2.0, 3.0 * decay)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -813,8 +813,8 @@ def test_evolve_paper_point(tmp_path):
     assert len(rows) == 202
     first = rows[1].split(",")
     assert first[0] == "0.0" and first[1] == "1.0"
-    # X(0) is the float round trip of 0.5 * sqrt(2 * 1050)^2
-    assert first[4] == "1049.9999999999998"
+    # X(0) is the configured X, not 0.5 * sqrt(2 * 1050)^2
+    assert first[4] == "1050.0"
 
     summary = _rows(out / "paper_point_evolve_summary.txt")
     assert "mode: kinetic_only" in summary
@@ -869,7 +869,7 @@ def test_evolve_reports_drift_failure(tmp_path):
         assert _run(["evolve", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 0
         summary = _rows(out / "run_evolve_summary.txt")
-        assert "max relative Q drift = 0.008121309139772603" in summary
+        assert "max relative Q drift = 0.008121309139781596" in summary
         assert "drift bound (100 * rel_tol) = 1e-06" in summary
         assert "conservation: FAILED" in summary
 
@@ -892,22 +892,33 @@ def test_evolve_late_time_overflow(tmp_path):
     assert "conservation: PASS" in _rows(out / "run_evolve_summary.txt")
 
 
-# Known open defect: FieldState keeps phidot and recomputes X = phidot^2/2,
-# and no float phidot gives 1000.0 back, so the start at the extremum is
-# off it (X = 1000.0000000000001, w = -0.99999954...) and Q(0) != 0.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="an X-given start is stored as phidot and X is "
-                          "recomputed as phidot^2/2")
 def test_evolve_start_at_the_extremum_keeps_its_X(tmp_path):
-    doc = {**BASE_DOC, "model": {"F2": 1e3, "X0": 1e3},
-           "evolve": {"t_end": 3.0, "X": 1000.0}}
+    # No float phidot gives X = 1000.0 back as phidot^2/2, so the start at
+    # the extremum (the paper's Lambda state) stays there only because the
+    # state keeps the X it was given.
+    out = tmp_path / "o"
+    for kinetic_only in (True, False):
+        doc = {**BASE_DOC, "model": {"F2": 1e3, "X0": 1e3},
+               "evolve": {"t_end": 3.0, "X": 1000.0,
+                          "kinetic_only": kinetic_only}}
+        cfg = _write(tmp_path, doc)
+        assert _run(["evolve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        rows = [r.split(",") for r in _rows(out / "run_trajectory.csv")[1:]]
+        assert len(rows) == 201
+        assert all(row[4:] == ["1000.0", "-1.0", "0.0", "0.0"] for row in rows)
+        summary = _rows(out / "run_evolve_summary.txt")
+        assert "max absolute Q drift = 0.0 (Q(0) = 0)" in summary
+        assert "conservation: PASS" in summary
+
+
+def test_evolve_subnormal_X_start_keeps_its_phidot(tmp_path):
+    # X = phidot^2/2 is subnormal and keeps too few bits to give phidot back
+    doc = {**BASE_DOC, "evolve": {"t_end": 1.0, "phidot": 3e-162}}
     cfg = _write(tmp_path, doc)
     out = tmp_path / "o"
     assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    rows = [row.split(",") for row in _rows(out / "run_trajectory.csv")[1:]]
-    assert rows[0][4] == "1000.0"
-    assert all(row[5] == "-1.0" for row in rows)
-    assert "conservation: PASS" in _rows(out / "run_evolve_summary.txt")
+    assert _rows(out / "run_trajectory.csv")[1].split(",")[3] == "3e-162"
 
 
 def test_evolve_integration_failure_exits_three(tmp_path, capsys,

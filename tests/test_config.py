@@ -5,8 +5,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kessence.config import (
     MAX_ROWS,
@@ -92,16 +95,7 @@ def test_shipped_configs_parse_and_round_trip():
     for path in paths:
         cfg = load_config(path)
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
-        if "X" in doc.get("evolve", {}):
-            # an X-given initial state serializes as the phidot it parsed to
-            doc["evolve"] = {
-                "phidot" if key == "X" else key:
-                    math.sqrt(2.0 * value) if key == "X" else value
-                for key, value in doc["evolve"].items()}
-            text = json.dumps(doc, indent=2) + "\n"
-        assert serialize_config(cfg) == text
+            assert serialize_config(cfg) == fh.read()
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -333,6 +327,33 @@ def test_output_spec_stem_rule():
         with pytest.raises(ValueError, match="bare file name"):
             OutputSpec(stem=stem)
     assert OutputSpec(stem="case.7").stem == "case.7"
+
+
+# Start values over the normal and subnormal range, both zeros and, for
+# phidot, negative values; 2 X and phidot^2 stay finite.
+_START_X = (st.floats(min_value=0.0, max_value=sys.float_info.max / 2)
+            | st.just(-0.0))
+_START_PHIDOT = st.floats(min_value=-1e154, max_value=1e154)
+
+
+@given(X=_START_X, phidot=_START_PHIDOT)
+@example(X=1000.0, phidot=-0.0)
+@example(X=-0.0, phidot=3e-162)
+@example(X=5e-324, phidot=-5e-324)
+def test_start_state_keeps_its_value_through_the_config(X, phidot):
+    # The state holds the X or phidot it was given, to the bit, and its
+    # serialized config parses back to the same bits of both.
+    def bits(init):
+        return float(init.X).hex(), float(init.phidot).hex()
+
+    by_X, by_phidot = initial_state(X=X), initial_state(phidot=phidot)
+    assert bits(by_X)[0] == float(X).hex()
+    assert bits(by_phidot)[1] == float(phidot).hex()
+    for init in (by_X, by_phidot):
+        cfg = replace(parse_config(MINIMAL),
+                      evolve=EvolveSpec(t_end=1.0, init=init))
+        back = parse_config(serialize_config(cfg)).evolve.init
+        assert back == init and bits(back) == bits(init)
 
 
 def test_evolve_spec_validation():

@@ -76,15 +76,19 @@ def test_powerlaw_scale_ratio():
 
 
 def test_field_state():
-    s = FieldState(t=1.0, a=2.0, phi=0.5, phidot=3.0)
-    assert s.X == 4.5
+    s = FieldState(t=1.0, a=2.0, phi=0.5, phidot=3.0, X=4.5)
+    assert (s.phidot, s.X) == (3.0, 4.5)
     with pytest.raises(ValueError):
-        FieldState(t=0.0, a=0.0, phi=0.0, phidot=0.0)
+        FieldState(t=0.0, a=0.0, phi=0.0, phidot=0.0, X=0.0)
     with pytest.raises(ValueError):
-        FieldState(t=0.0, a=-1.0, phi=0.0, phidot=0.0)
+        FieldState(t=0.0, a=-1.0, phi=0.0, phidot=0.0, X=0.0)
     # X = phidot^2 / 2 overflows: no integrator can start from it
+    with pytest.raises(ValueError, match="must be finite"):
+        FieldState(t=0.0, a=1.0, phi=0.0, phidot=1e200, X=math.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        FieldState(t=0.0, a=1.0, phi=0.0, phidot=math.inf, X=1e300)
     with pytest.raises(ValueError):
-        FieldState(t=0.0, a=1.0, phi=0.0, phidot=1e200)
+        initial_state(phidot=1e200)
     with pytest.raises(ValueError):
         initial_state(X=1e308)
 
@@ -327,7 +331,8 @@ def test_nearly_static_background_freezes_x():
 def test_mirror_solution_is_exact():
     # phidot -> -phidot maps phi -> -phi; the reduced system makes this
     # exact in floating point, not just to solver tolerance
-    pos = evolve_kinetic_only(REF, BG, initial_state(X=1.05e3), 3.0)
+    pos = evolve_kinetic_only(REF, BG,
+                              initial_state(phidot=math.sqrt(2.1e3)), 3.0)
     neg = evolve_kinetic_only(REF, BG,
                               initial_state(phidot=-math.sqrt(2.1e3)), 3.0)
     assert np.array_equal(pos.X, neg.X)

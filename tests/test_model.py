@@ -518,8 +518,7 @@ def _scaling_cs2(X0, eps1, a1, a):
 
 
 def _scaling_terms(X0, eps1, a1, a):
-    X = X0 * (1.0 + eps1 * (a / a1) ** -3.0)
-    return 3.0 * X, -X0
+    return 2.0, 3.0 * (eps1 * (a / a1) ** -3.0)
 
 
 def _w_terms(F2, X0, F0, X):
@@ -599,6 +598,17 @@ def test_scaling_mode_and_domain_errors():
         ScalingSolution(X0=0.0, eps1=0.1, a1=1.0)
     with pytest.raises(ValueError):
         ScalingSolution(X0=1.0, eps1=0.1, a1=-2.0)
+
+
+@pytest.mark.parametrize("eps1", [1e-3, 1e-8, 1e-12, 1e-15, 1e-17])
+def test_scaling_cs2_keeps_its_precision_as_the_deviation_decays(eps1):
+    # At a = a1 the deviation is eps1 itself, and cs2 = eps1/(2 + 3 eps1)
+    # exactly; forming X = X0 (1 + eps1) first would cancel in X - X0.
+    s = ScalingSolution(X0=1e3, eps1=eps1, a1=2.0)
+    d = Fraction(eps1)
+    exact = d / (2 + 3 * d)
+    cs2 = Fraction(float(scaling_cs2_of_a(s, 2.0)))
+    assert abs(cs2 / exact - 1) <= Fraction(1, 10**15)
 
 
 def test_scaling_cs2_pole_guarded():
