@@ -263,7 +263,7 @@ def run_evolve(config: RunConfig):
     try:
         slope = scaling_slope(tr)
         verdict = "PASS" if abs(slope - SLOPE_TARGET) <= SLOPE_TOL else "FAIL"
-        summary.append(f"slope of log(X - X0) vs log(a) = {_fmt(slope)}")
+        summary.append(f"slope of log|X - X0| vs log(a) = {_fmt(slope)}")
         summary.append(
             f"slope check: {verdict} "
             f"(expected {SLOPE_TARGET} +- {SLOPE_TOL})")

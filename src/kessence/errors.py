@@ -28,7 +28,8 @@ class StepFailure(KessenceError):
 
 
 class FitDomain(KessenceError):
-    """The fit tail or slope window is too short or has rows with X <= X0."""
+    """The fit tail or slope window is too short, or its u = X - X0 is not on
+    one branch that approaches X0 (u > 0, or -2 X0/3 < u < 0)."""
 
 
 class ConfigError(KessenceError):

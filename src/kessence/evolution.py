@@ -18,8 +18,8 @@ is conserved exactly.  For the quadratic F, with u = X - X0, that is
 
     u^2 (X0 + u) a^6 = const       (Scherrer 2004, astro-ph/0402316).
 
-Every `Trajectory` carries Q as a diagnostic column, formed from its X
-column; `Trajectory.build` refuses (StepFailure) the first row where phi,
+Every `Trajectory` carries Q, formed from its X column, and the solver's u;
+`Trajectory.build` refuses (StepFailure) the first row where phi,
 phidot, X or Q is not finite.  `evolve_kinetic_only` integrates no ODE: it
 takes ln a from the background in closed form and solves the first
 integral for u on the branch of u(0) (u > 0, -2 X0/3 < u < 0, or
@@ -218,8 +218,9 @@ class StepControl:
 class Trajectory:
     """Dense output of one integration run.
 
-    All arrays share one length.  w and cs2 are NaN on any row where
-    the corresponding denominator falls under the degeneracy guard.
+    All arrays share one length.  u = X - X0 is the deviation the solver
+    formed, with the digits that X rounds away.  w and cs2 are NaN on any row
+    where the corresponding denominator falls under the degeneracy guard.
     `build` refuses a row where phi, phidot, X or Q = X F_X^2 a^6 is not
     finite (a^6 alone overflows past a of about 2.4e51).
     """
@@ -230,6 +231,7 @@ class Trajectory:
     phi: np.ndarray = field(repr=False)
     phidot: np.ndarray = field(repr=False)
     X: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     cs2: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
@@ -238,10 +240,11 @@ class Trajectory:
         return self.t.size
 
     @classmethod
-    def build(cls, model: KineticModel, t, a, phi, phidot, X) -> "Trajectory":
+    def build(cls, model: KineticModel, t, a, phi, phidot, X,
+              u) -> "Trajectory":
         """Assemble a trajectory, deriving w, cs2 and Q from X and a."""
-        t, a, phi, phidot, X = (np.asarray(v, dtype=float)
-                                for v in (t, a, phi, phidot, X))
+        t, a, phi, phidot, X, u = (np.asarray(v, dtype=float)
+                                   for v in (t, a, phi, phidot, X, u))
         with np.errstate(all="ignore"):  # a column that overflows fails below
             w, _ = eos_w(model, X)
             cs2, _ = sound_speed(model, X)
@@ -253,7 +256,7 @@ class Trajectory:
             raise StepFailure(f"{('phi', 'phidot', 'X', 'Q')[column]} left "
                               f"the float range by t={t[row]}")
         return cls(model=model, t=t, a=a, phi=phi, phidot=phidot,
-                   X=X, w=w, cs2=cs2, Q=Q)
+                   X=X, u=u, w=w, cs2=cs2, Q=Q)
 
     def q_drift(self) -> tuple[float, bool]:
         """(drift, relative): max |Q/Q(0) - 1| with relative True where
@@ -358,8 +361,9 @@ def evolve_full(model: KineticModel, potential: PotentialSpec,
         if not sol.success:
             raise StepFailure(f"integration failed: {sol.message}")
         phi, phidot = sol.y
-        return Trajectory.build(model, t, a, phi, phidot,
-                                0.5 * phidot * phidot)
+        X = 0.5 * phidot * phidot
+        X[0] = init.X
+        return Trajectory.build(model, t, a, phi, phidot, X, X - model.X0)
 
 
 def _first_integral(X0: float, X_start: float, log_growth):
@@ -451,8 +455,8 @@ def _panel_edges(background: BackgroundSpec, t0: float, t_end: float,
 
 def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
                      t: np.ndarray) -> tuple:
-    """X and sqrt(2 X) at the times t, and the field's path length: the
-    integral of sqrt(2 X) from t[0] to each t.
+    """u = X - X0, X and sqrt(2 X) at the times t, and the field's path
+    length: the integral of sqrt(2 X) from t[0] to each t.
 
     The path is integrated on the panels of `_panel_edges`, each by the
     antiderivative of its 16-node Chebyshev interpolant, evaluated on the
@@ -465,7 +469,7 @@ def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
                          _branch_point_distance(X0, X_start))
     half = 0.5 * np.diff(edges)
     nodes = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
-    _, X, speed = _first_integral(X0, X_start, background.log_scale_ratio(
+    u, X, speed = _first_integral(X0, X_start, background.log_scale_ratio(
         np.concatenate((t, nodes.ravel())), t0))
     coef = speed[n:].reshape(nodes.shape) @ _CHEB_INTEGRAL.T * half[:, None]
     # Each panel's antiderivative on its rows, by Clenshaw's recurrence,
@@ -481,7 +485,7 @@ def _kinetic_columns(X0: float, X_start: float, background: BackgroundSpec,
     for k in range(c.shape[0] - 1, 0, -1):
         b1, b2 = c[k] + x2 * b1 - b2, b1
     path = before.repeat(rows) + (c[0] + x * b1 - b2)
-    return X[:n], speed[:n], path
+    return u[:n], X[:n], speed[:n], path
 
 
 def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
@@ -498,11 +502,20 @@ def evolve_kinetic_only(model: KineticModel, background: BackgroundSpec,
     t, a = _check_window(background, init, t_end, control.n_output)
     _mass_coefficient(model, init.X, init.t)
     with np.errstate(all="ignore"):  # a column that overflows fails in build
-        X, speed, path = _kinetic_columns(model.X0, init.X, background, t)
+        u, X, speed, path = _kinetic_columns(model.X0, init.X, background, t)
         phi = init.phi + math.copysign(1.0, init.phidot) * path
-        X[0], speed[0], phi[0] = init.X, abs(init.phidot), init.phi
+        X[0], u[0] = init.X, init.X - model.X0
+        speed[0], phi[0] = abs(init.phidot), init.phi
         return Trajectory.build(model, t, a, phi,
-                                np.copysign(speed, init.phidot), X)
+                                np.copysign(speed, init.phidot), X, u)
+
+
+def _decaying(u: np.ndarray, X0: float, window: str) -> np.ndarray:
+    """|u| over a window on one branch that approaches X0, else FitDomain."""
+    if not (np.all(u > 0.0) or np.all((u < 0.0) & (u > -2.0 * X0 / 3.0))):
+        raise FitDomain(f"{window} is not on one branch that approaches X0 "
+                        "(u > 0 or -2 X0/3 < u < 0 on every row)")
+    return np.abs(u)
 
 
 def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:
@@ -511,14 +524,14 @@ def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:
     law a ScalingSolution with the trajectory's X0.
 
     The slope is held fixed at -3; only the amplitude is free, so the
-    least-squares solution is the mean of log(X - X0) + 3 log(a/a1) over
-    the tail, with a1 anchored to the first tail sample.  (Only the
-    combination eps1 * a1^3 is identified; fixing a1 this way makes the
-    returned law reproducible.)  max_residual is the worst relative
-    deviation of X - X0 from the fitted curve.
+    least-squares solution is the mean of log|u| + 3 log(a/a1) over the
+    tail, with a1 anchored to the first tail sample and u's sign carried
+    into eps1.  (Only the combination eps1 * a1^3 is identified; fixing a1
+    this way makes the returned law reproducible.)  max_residual is the
+    worst relative deviation of the solver's u from the fitted curve.
 
-    Raises FitDomain if the tail holds fewer than 10 rows or any tail row
-    has X <= X0.
+    Raises FitDomain if the tail holds fewer than 10 rows or is not on one
+    branch that approaches X0 (see `_decaying`).
     """
     n, X0 = len(trajectory), trajectory.model.X0
     n_tail = int(round(FIT_TAIL_FRACTION * n))
@@ -526,32 +539,26 @@ def fit_scaling(trajectory: Trajectory) -> tuple[ScalingSolution, float]:
         raise FitDomain(
             f"need at least 10 rows in the fit tail, got {n_tail} "
             f"(trajectory has {n} rows)")
-    a = trajectory.a[n - n_tail:]
-    dev = trajectory.X[n - n_tail:] - X0
-    if np.any(dev <= 0.0):
-        raise FitDomain(
-            "fit tail contains rows with X <= X0; the scaling form "
-            "assumes a positive deviation")
+    a, u = trajectory.a[n - n_tail:], trajectory.u[n - n_tail:]
+    dev = _decaying(u, X0, "fit tail")
     a1 = float(a[0])
     log_amp = float(np.mean(np.log(dev) + 3.0 * np.log(a / a1)))
-    law = ScalingSolution(X0=X0, eps1=math.exp(log_amp) / X0, a1=a1)
-    fitted = X0 * law.eps1 * (a / a1) ** -3.0
-    return law, float(np.max(np.abs(dev / fitted - 1.0)))
+    eps1 = math.copysign(math.exp(log_amp) / X0, u[0])
+    law = ScalingSolution(X0=X0, eps1=eps1, a1=a1)
+    fitted = X0 * eps1 * (a / a1) ** -3.0
+    return law, float(np.max(np.abs(u / fitted - 1.0)))
 
 
 def scaling_slope(trajectory: Trajectory) -> float:
-    """Free log-log slope of (X - X0) against a, restricted to rows where
-    a has grown by at least SLOPE_MIN_GROWTH over a(0).  The dilution law
-    predicts -3 once transients have cleared."""
-    a0 = trajectory.a[0]
-    mask = trajectory.a >= SLOPE_MIN_GROWTH * a0
-    dev = trajectory.X[mask] - trajectory.model.X0
-    if dev.size < 2:
+    """Free log-log slope of |u| against a over the rows where a has grown
+    by at least SLOPE_MIN_GROWTH over a(0), which `_decaying` admits.  The
+    dilution law predicts -3 once transients have cleared."""
+    mask = trajectory.a >= SLOPE_MIN_GROWTH * trajectory.a[0]
+    if np.count_nonzero(mask) < 2:
         raise FitDomain(
             f"fewer than 2 rows with a >= {SLOPE_MIN_GROWTH} * a(0); "
             "integrate longer before asking for a slope")
-    if np.any(dev <= 0.0):
-        raise FitDomain("slope window contains rows with X <= X0")
+    dev = _decaying(trajectory.u[mask], trajectory.model.X0, "slope window")
     a = trajectory.a[mask]
     if np.all(a == a[0]):  # a subnormal a is coarse enough for that
         raise FitDomain("a takes one value over the slope window")

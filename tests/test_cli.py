@@ -853,7 +853,7 @@ def test_evolve_short_tail_has_no_fit(tmp_path):
     summary = _rows(out / "run_evolve_summary.txt")
     assert ("scaling fit not available: need at least 10 rows in the fit "
             "tail, got 6 (trajectory has 12 rows)") in summary
-    assert any(s.startswith("slope of log(X - X0) vs log(a) = ")
+    assert any(s.startswith("slope of log|X - X0| vs log(a) = ")
                for s in summary)
 
 
@@ -875,8 +875,10 @@ def test_evolve_reports_drift_failure(tmp_path):
 
 
 # Known open defect: a^6 in Q overflows at a = e^130, so the run exits 3
-# (Q leaves the float range at t = 118.3).  Forming Q in log variables
-# must turn this into a passing run.
+# (Q leaves the float range at t = 118.3).  Forming Q in log variables is
+# half of the mend: from t = 11.7 on the written X is exactly X0, so Q must
+# also be formed from the solver's u, which waits for a u column in the
+# trajectory file.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="Q = u^2 (X0 + u) a^6 overflows past a ~ 1e51, "
                           "so the run exits 3")
@@ -890,6 +892,60 @@ def test_evolve_late_time_overflow(tmp_path):
     for row in _rows(out / "run_trajectory.csv")[1:]:
         assert all(math.isfinite(float(cell)) for cell in row.split(","))
     assert "conservation: PASS" in _rows(out / "run_evolve_summary.txt")
+
+
+# perfbench checks a constant-V evolve's written X - X0 against the first
+# integral at 100 * rel_tol, and counts a miss whose summary says
+# "conservation: PASS" as a wrong output.  So while the trajectory file has
+# no u column, the verdict must fail wherever the written X misses u.
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.booleans(),
+       st.floats(math.log(1e-3), math.log(0.5)), st.floats(0.5, 2.0),
+       st.floats(0.2, 10.0))
+@example(True, False, math.log(0.05), 1.0, 10.0)
+def test_evolve_never_passes_a_written_x_that_misses_u(kinetic_only, powerlaw,
+                                                      log_c, rate, k):
+    if powerlaw:  # k Hubble times at the start, as in perfbench's sweep
+        background = {"kind": "powerlaw", "p": 0.4 * rate, "t0": 1.0}
+        t_start, t_end = 1.0, 1.0 + k / (0.4 * rate)
+    else:
+        background = {"kind": "desitter", "H": rate}
+        t_start, t_end = 0.0, k / rate
+    doc = {**BASE_DOC, "background": background,
+           "evolve": {"t_start": t_start, "t_end": t_end,
+                      "X": 1e3 * (1.0 + math.exp(log_c)),
+                      "kinetic_only": kinetic_only}}
+    config = parse_config(json.dumps(doc))
+    ev = config.evolve
+    tr = (evolution.evolve_kinetic_only(config.model, config.background,
+                                        ev.init, ev.t_end, ev.control)
+          if kinetic_only else
+          evolution.evolve_full(config.model, config.potential,
+                                config.background, ev.init, ev.t_end,
+                                ev.control))
+    with tempfile.TemporaryDirectory() as root:
+        cfg = os.path.join(root, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert _run(["evolve", "--config", cfg, "--out", root,
+                     "--quiet"]) == 0
+        rows = _rows(os.path.join(root, "run_trajectory.csv"))[1:]
+        summary = _rows(os.path.join(root, "run_evolve_summary.txt"))
+    written = np.array([float(row.split(",")[4]) for row in rows])
+    bound = 100.0 * ev.control.rel_tol
+    if np.any(np.abs((written - 1e3) - tr.u) > bound * np.abs(tr.u)):
+        assert "conservation: FAILED" in summary
+
+
+def test_evolve_varying_potential_writes_its_start_as_row_0(tmp_path):
+    # DOP853 integrates phidot, and no phidot gives X = 1100.0 back as
+    # phidot^2 / 2, so row 0 is the start state as given
+    cfg = os.path.join(CONFIG_DIR, "evolve_full_quadratic.json")
+    out = tmp_path / "o"
+    assert _run(["evolve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    row = _rows(out / "evolve_quad_trajectory.csv")[1].split(",")
+    assert row[:5] == ["1.0", "1.0", "5.0", repr(math.sqrt(2200.0)), "1100.0"]
+    assert 0.5 * math.sqrt(2200.0) ** 2 != 1100.0
 
 
 def test_evolve_start_at_the_extremum_keeps_its_X(tmp_path):

@@ -316,7 +316,8 @@ def test_attractor_from_below():
     assert traj.X[-1] == pytest.approx(REF.X0, rel=1e-3)
 
 
-@pytest.mark.parametrize("c", [0.01, 0.1, 0.3, 0.5])
+# c = -0.1 is on the middle branch X0/3 < X < X0, where |u| falls as a^-3 too
+@pytest.mark.parametrize("c", [0.01, 0.1, 0.3, 0.5, -0.1])
 def test_dilution_slope(c):
     traj = _reference_run(X_start=(1.0 + c) * REF.X0)
     assert scaling_slope(traj) == pytest.approx(-3.0, abs=0.01)
@@ -460,7 +461,8 @@ def test_kinetic_only_subnormal_start_keeps_phi_and_phidot(X_start):
 def _state_Q(model, state):
     """The Q column of a one-row trajectory at `state`."""
     return Trajectory.build(model, [state.t], [state.a], [state.phi],
-                            [state.phidot], [state.X]).Q[0]
+                            [state.phidot], [state.X],
+                            [state.X - model.X0]).Q[0]
 
 
 def test_invariant_value_rational_oracle():
@@ -481,20 +483,21 @@ def test_trajectory_build_accepts_exact_x():
     t = np.linspace(0.0, 1.0, 11)
     a = np.exp(t)
     X = np.full(11, 1050.0)
-    traj = Trajectory.build(REF, t, a, np.zeros(11), np.sqrt(2.0 * X), X=X)
-    assert np.array_equal(traj.X, X)
+    traj = Trajectory.build(REF, t, a, np.zeros(11), np.sqrt(2.0 * X), X=X,
+                            u=X - REF.X0)
+    assert np.array_equal(traj.X, X) and np.array_equal(traj.u, X - REF.X0)
     assert len(traj) == 11
 
 
 def test_trajectory_build_refuses_the_first_column_out_of_range():
     # a^6 overflows on the second row; phi is NaN from the third
     t, a = [0.0, 1.0, 2.0], [1.0, 1e52, 1.0]
-    X = [1050.0] * 3
+    X, u = [1050.0] * 3, [50.0] * 3
     with pytest.raises(StepFailure, match=r"^Q left the float range by t=1.0$"):
-        Trajectory.build(REF, t, a, [0.0, 0.0, math.nan], [45.0] * 3, X)
+        Trajectory.build(REF, t, a, [0.0, 0.0, math.nan], [45.0] * 3, X, u)
     with pytest.raises(StepFailure, match=r"^phi left .* by t=2.0$"):
         Trajectory.build(REF, t, [1.0] * 3, [0.0, 0.0, math.nan], [45.0] * 3,
-                         X)
+                         X, u)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +509,10 @@ def test_fit_recovers_synthetic_scaling_law():
     eps1 = 0.02
     t = np.linspace(0.0, 3.0, 101)
     a = np.exp(t)
-    X = X0 * (1.0 + eps1 * (a[0] / a) ** 3)
+    u = X0 * eps1 * (a[0] / a) ** 3
+    X = X0 + u
     traj = Trajectory.build(REF, t, a, np.zeros_like(t), np.sqrt(2.0 * X),
-                            X=X)
+                            X=X, u=u)
     law, residual = fit_scaling(traj)
     # the tail is the last 50 rows; a1 is its first sample
     assert law.X0 == REF.X0 and law.a1 == a[51]
@@ -545,8 +549,30 @@ def test_fit_validation():
 def test_fit_rejects_tail_at_or_below_extremum():
     m = KineticModel(F2=1e3, X0=800.0)
     traj = evolve_kinetic_only(m, BG, initial_state(phidot=40.0), 2.0)
-    with pytest.raises(FitDomain):
+    with pytest.raises(FitDomain, match="^fit tail is not on one branch"):
         fit_scaling(traj)
+
+
+# By t = 10 the rounding of X is about 1 % of u = X - X0, and from t = 11.7
+# on X is 1000.0 = X0; the fit and slope read the solver's u.  X(0) = 900 is
+# on the middle branch, so its eps1 is negative.
+@pytest.mark.parametrize("X_start, t_end",
+                         [(1050.0, 10.0), (1050.0, 20.0), (900.0, 10.0)])
+def test_fit_and_slope_read_the_solvers_u(X_start, t_end):
+    traj = _reference_run(X_start=X_start, t_end=t_end)
+    law, residual = fit_scaling(traj)
+    assert math.copysign(1.0, law.eps1) == math.copysign(1.0, X_start - 1e3)
+    assert residual <= 1e-6
+    assert scaling_slope(traj) == pytest.approx(-3.0, abs=0.01)
+
+
+def test_fit_and_slope_refuse_the_low_branch():
+    # 0 < X < X0/3 tends to X = 0, not to X0
+    traj = _reference_run(X_start=200.0, t_end=10.0)
+    with pytest.raises(FitDomain, match="^fit tail is not on one branch"):
+        fit_scaling(traj)
+    with pytest.raises(FitDomain, match="^slope window is not on one branch"):
+        scaling_slope(traj)
 
 
 def test_slope_needs_growth_window():
@@ -558,7 +584,7 @@ def test_slope_needs_growth_window():
 def test_slope_rejects_rows_below_extremum():
     m = KineticModel(F2=1e3, X0=800.0)
     traj = evolve_kinetic_only(m, BG, initial_state(phidot=40.0), 2.0)
-    with pytest.raises(FitDomain):
+    with pytest.raises(FitDomain, match="^slope window is not on one branch"):
         scaling_slope(traj)
 
 
