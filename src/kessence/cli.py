@@ -3,9 +3,9 @@
 Every command reads one RunConfig (from --config PATH or a named
 --preset), writes CSV plus a plain-text summary into the output
 directory, and is deterministic: the same config produces byte-identical
-files.  Floats are printed with repr() (shortest round-trip form), NaN
-as the literal token NAN, and no timestamps or absolute paths appear in
-any output file.
+files on any number of CPUs.  Floats are printed with repr() (shortest
+round-trip form), NaN as the literal token NAN, and no timestamps or
+absolute paths appear in any output file.
 
 Each command yields its files as (name, lines, columns), after every
 check and computation that can fail; `main` alone writes them, with
@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -56,8 +57,10 @@ from .walls import WallProfile, default_grid, sample, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
-# Table rows formatted per write; keeps the memory of a large table bounded.
+# Chunks of CHUNK_ROWS rows bound a table's memory; they are formatted by up
+# to one process per CPU, at most 2 (the only count timed), written in order.
 CHUNK_ROWS = 1024
+MAX_WORKERS = 2
 
 
 def _fmt(value) -> str:
@@ -98,15 +101,61 @@ def _write_lines(fh, lines) -> None:
         fh.write("\n")
 
 
+def _chunk(columns, lo) -> str:
+    cells = [_cells(c[lo:lo + CHUNK_ROWS]) for c in columns]
+    return "\n".join(map(",".join, zip(*cells)))
+
+
+def _send_chunks(columns, starts, out, inherited) -> None:
+    """A forked worker: send each chunk as its length and UTF-8 bytes."""
+    try:
+        for pipe in inherited:
+            pipe.close()
+        for lo in starts:
+            block = _chunk(columns, lo).encode("utf-8")
+            out.write(len(block).to_bytes(8, "little") + block)
+            out.flush()
+        os._exit(0)    # flushes no buffer inherited from the parent
+    finally:
+        os._exit(1)
+
+
+def _receive_chunk(pipe) -> str:
+    size = int.from_bytes(head := pipe.read(8), "little")
+    block = pipe.read(size) if len(head) == 8 else b""
+    if len(head) < 8 or len(block) < size:
+        raise OSError("a formatting worker stopped before its last chunk")
+    return block.decode("utf-8")
+
+
 def _write_file(path: str, lines, columns) -> None:
     """Write `lines`, then one CSV row per index of the equal-length
-    `columns`, formatted CHUNK_ROWS rows at a time."""
+    `columns`.  Worker i mod n formats chunk i: 0 is this process, which
+    writes every chunk in order, so the bytes do not depend on n; the others
+    are forks, none while a second Python thread could hold a lock."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_lines(fh, lines)
-        n_rows = len(columns[0]) if columns else 0
-        for lo in range(0, n_rows, CHUNK_ROWS):
-            cells = [_cells(c[lo:lo + CHUNK_ROWS]) for c in columns]
-            _write_lines(fh, ["\n".join(map(",".join, zip(*cells)))])
+        starts = range(0, len(columns[0]) if columns else 0, CHUNK_ROWS)
+        n = min(len(starts), MAX_WORKERS, len(os.sched_getaffinity(0))) if (
+            hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1) else 1
+        pids, pipes = [], []
+        try:
+            for k in range(1, n):
+                r, w = os.pipe()
+                pipes.append(open(r, "rb"))
+                with open(w, "wb") as out:
+                    pids.append(os.fork())
+                    if pids[-1] == 0:
+                        _send_chunks(columns, starts[k::n], out, pipes)
+            for i, lo in enumerate(starts):
+                _write_lines(fh, [_receive_chunk(pipes[i % n - 1]) if i % n
+                                  else _chunk(columns, lo)])
+        finally:
+            for pipe in pipes:   # a worker still sending exits on EPIPE
+                pipe.close()
+            for pid in pids:
+                os.waitpid(pid, 0)
 
 
 def _check_rows(table: str, rows: int) -> None:

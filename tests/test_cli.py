@@ -5,14 +5,17 @@ writes: headers, frozen cell strings, summaries, exit codes, and the
 byte-for-byte determinism contract.
 """
 
+import contextlib
 import filecmp
 import glob
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from datetime import timedelta
 from types import SimpleNamespace
@@ -1248,7 +1251,49 @@ def test_cells_on_repeats_in_any_order_match_repr_per_cell(values, step):
     assert cli._cells(column) == _plain_cells(column)
 
 
-def test_write_file_repeats_across_chunks(tmp_path):
+def _reference_file(header, columns):
+    """The bytes `_write_file` must write: `_plain_cells` per float column,
+    the values themselves per string column."""
+    cells = [_plain_cells(c) if c.dtype.kind == "f" else c.tolist()
+             for c in columns]
+    return (header + "\n" + "".join(",".join(row) + "\n"
+                                    for row in zip(*cells))).encode("utf-8")
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging, if the block runs over `seconds`.
+    pytest.fail is not an OSError, so main cannot turn it into exit 4."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
+def cpus(request, monkeypatch):
+    """The CPUs `_write_file` may run on, with MAX_WORKERS raised to match:
+    1 forks nothing, 3 forks two workers even on a 2-CPU host.  No worker
+    may be left afterwards."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(request.param)))
+    monkeypatch.setattr(cli, "MAX_WORKERS", request.param)
+    with _deadline(30):
+        yield request.param
+    _assert_no_children()
+
+
+def test_write_file_repeats_across_chunks(tmp_path, cpus):
     # Ten values cycling row by row, so no two neighbours are equal
     cycle = np.array([0.1, -0.0, 0.0, np.nan, _nan_with(1, 7), 2.5, np.inf,
                       5e-324, -1e300, 0.1 + 0.2])
@@ -1256,12 +1301,10 @@ def test_write_file_repeats_across_chunks(tmp_path):
     assert 3000 > 2 * cli.CHUNK_ROWS
     path = tmp_path / "repeats.csv"
     cli._write_file(str(path), ["a,b"], columns)
-    expect = "a,b\n" + "".join(
-        ",".join(row) + "\n" for row in zip(*map(_plain_cells, columns)))
-    assert path.read_bytes() == expect.encode("utf-8")
+    assert path.read_bytes() == _reference_file("a,b", columns)
 
 
-def test_write_file_runs_across_chunks(tmp_path):
+def test_write_file_runs_across_chunks(tmp_path, cpus):
     # Runs of 7 to 700 rows, so several cross a CHUNK_ROWS boundary.
     lengths = [700, 7, 331, 1, 1200, 761]
     assert sum(lengths) == 3000 and 3000 > 2 * cli.CHUNK_ROWS
@@ -1269,9 +1312,141 @@ def test_write_file_runs_across_chunks(tmp_path):
     columns = [values, values[::-1], np.arange(3000.0) / 7.0]
     path = tmp_path / "runs.csv"
     cli._write_file(str(path), ["a,b,c"], columns)
-    expect = "a,b,c\n" + "".join(
-        ",".join(row) + "\n" for row in zip(*map(_plain_cells, columns)))
-    assert path.read_bytes() == expect.encode("utf-8")
+    assert path.read_bytes() == _reference_file("a,b,c", columns)
+
+
+@pytest.mark.parametrize("rows", [0, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1,
+                                  5 * cli.CHUNK_ROWS + 3])
+def test_write_file_chunk_edges(tmp_path, cpus, rows):
+    # A string column, and floats with NaN, both zeros, repeats and runs;
+    # the last column is strictly decreasing.
+    k = np.arange(rows)
+    labels = np.array(["DarkEnergyMix", "Unclassified", ""],
+                      dtype=object)[k % 3]
+    cycle = np.array([np.nan, -0.0, 0.0, 0.1, 0.1, _nan_with(1, 7)])
+    columns = [cycle[k % 6], labels, np.repeat(cycle, 700)[k % 4200],
+               -k / 3.0]
+    path = tmp_path / "edges.csv"
+    cli._write_file(str(path), ["a,b,c,d"], columns)
+    assert path.read_bytes() == _reference_file("a,b,c,d", columns)
+
+
+def test_write_file_without_cpu_affinity_forks_nothing(tmp_path, monkeypatch):
+    # Where os.sched_getaffinity is missing (not Linux), this process
+    # formats every chunk.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    columns = [np.arange(3000.0) / 7.0]
+    path = tmp_path / "one-process.csv"
+    cli._write_file(str(path), ["a"], columns)
+    assert path.read_bytes() == _reference_file("a", columns)
+
+
+def _count_forks(monkeypatch):
+    """Patch os.fork to record, in the parent, the process's OS thread
+    count right after each fork: the count Python 3.12 and later warn on."""
+    counts, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            counts.append(len(os.listdir("/proc/self/task")))
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return counts
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux's /proc/self/task")
+def test_write_file_forks_at_most_one_worker_from_one_thread(tmp_path,
+                                                             monkeypatch):
+    # Three CPUs, the shipped MAX_WORKERS: one worker is forked.  A large
+    # matrix product first starts numpy's BLAS threads; OpenBLAS stops them
+    # at the fork, so the fork happens with this thread alone.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    counts = _count_forks(monkeypatch)
+    square = np.ones((400, 400))
+    square @ square
+    columns = [np.arange(5000.0) / 7.0]
+    path = tmp_path / "threads.csv"
+    with _deadline(30):
+        cli._write_file(str(path), ["a"], columns)
+    _assert_no_children()
+    assert cli.MAX_WORKERS == 2 and counts == [1]
+    assert path.read_bytes() == _reference_file("a", columns)
+
+
+def test_write_file_with_a_second_thread_forks_nothing(tmp_path,
+                                                       monkeypatch):
+    # A fork would copy whatever lock the other thread holds.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        columns = [np.arange(3000.0) / 7.0]
+        path = tmp_path / "threaded.csv"
+        cli._write_file(str(path), ["a"], columns)
+    finally:
+        stop.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert path.read_bytes() == _reference_file("a", columns)
+
+
+def _scan_config(tmp_path, rows):
+    return _write(tmp_path, {**BASE_DOC,
+                             "scan": {"X": _range(900.0, 1100.0, rows)}})
+
+
+@pytest.mark.parametrize("cpus", [3], indirect=True, ids=["3cpu"])
+def test_write_file_worker_failure_exits_4(tmp_path, cpus, monkeypatch,
+                                           capsys):
+    # _cells raises only in the forked workers: the parent reads a short
+    # chunk instead of writing a truncated table.
+    parent, cells = os.getpid(), cli._cells
+
+    def cells_in_parent_only(column):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        return cells(column)
+
+    monkeypatch.setattr(cli, "_cells", cells_in_parent_only)
+    cfg = _scan_config(tmp_path, 6 * cli.CHUNK_ROWS)
+    assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 4
+    assert "worker stopped before its last chunk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [3], indirect=True, ids=["3cpu"])
+def test_write_file_parent_failure_exits_4(tmp_path, cpus, monkeypatch,
+                                           capsys):
+    # The parent fails writing its second chunk while both workers still
+    # have chunks to send; they must end on the closed pipes.
+    calls, write_lines = [], cli._write_lines
+
+    def failing_write_lines(fh, lines):
+        calls.append(lines)
+        if len(calls) == 3:    # the header, chunk 0, then chunk 1
+            raise OSError("no space left")
+        write_lines(fh, lines)
+
+    monkeypatch.setattr(cli, "_write_lines", failing_write_lines)
+    cfg = _scan_config(tmp_path, 6 * cli.CHUNK_ROWS)
+    assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 4
+    assert "no space left" in capsys.readouterr().err
+    assert len(calls) == 3
+
+
+def test_main_writes_every_chunk_and_leaves_no_worker(tmp_path, cpus):
+    out = tmp_path / "o"
+    cfg = _scan_config(tmp_path, 3 * cli.CHUNK_ROWS)
+    assert _run(["eos-scan", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    assert len(_rows(out / "run_eos_scan.csv")) == 3 * cli.CHUNK_ROWS + 1
 
 
 # ---------------------------------------------------------------------------
