@@ -1,11 +1,11 @@
 """Command-line front end: eos-scan, wall, evolve, regimes.
 
-Every command reads one RunConfig (from --config PATH or a named
---preset), writes CSV plus a plain-text summary into the output
-directory, and is deterministic: the same config produces byte-identical
-files on any number of CPUs.  Floats are printed with repr() (shortest
-round-trip form), NaN as the literal token NAN, and no timestamps or
-absolute paths appear in any output file.
+Every command reads one RunConfig (from --config PATH or a named --preset),
+writes CSV plus a plain-text summary into the output directory, and is
+deterministic: the same config produces byte-identical files on any number of
+CPUs, although with two or more one forked worker formats every other chunk of
+a table.  Floats are printed with repr() (shortest round-trip form), NaN as
+the token NAN, and no timestamps or absolute paths appear in any output file.
 
 Each command yields its files as (name, lines, columns), after every
 check and computation that can fail; `main` alone writes them, with
@@ -57,10 +57,9 @@ from .walls import WallProfile, default_grid, sample, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
-# Chunks of CHUNK_ROWS rows bound a table's memory; they are formatted by up
-# to one process per CPU, at most 2 (the only count timed), written in order.
+# Chunks of CHUNK_ROWS rows bound a table's memory.  Given two usable CPUs, a
+# forked worker formats every other one; the bytes do not depend on the count.
 CHUNK_ROWS = 1024
-MAX_WORKERS = 2
 
 
 def _fmt(value) -> str:
@@ -106,16 +105,19 @@ def _chunk(columns, lo) -> str:
     return "\n".join(map(",".join, zip(*cells)))
 
 
-def _send_chunks(columns, starts, out, inherited) -> None:
+def _send_chunks(columns, starts, pipe, out) -> None:
     """A forked worker: send each chunk as its length and UTF-8 bytes."""
     try:
-        for pipe in inherited:
-            pipe.close()
+        pipe.close()    # so that the parent's close ends this worker on EPIPE
         for lo in starts:
             block = _chunk(columns, lo).encode("utf-8")
             out.write(len(block).to_bytes(8, "little") + block)
             out.flush()
         os._exit(0)    # flushes no buffer inherited from the parent
+    except BrokenPipeError:
+        pass           # the parent stopped reading, and reports why
+    except Exception as exc:  # fd 2, not sys.stderr and its inherited buffer
+        os.write(2, f"formatting worker: {exc!r}\n".encode("utf-8"))
     finally:
         os._exit(1)
 
@@ -130,31 +132,29 @@ def _receive_chunk(pipe) -> str:
 
 def _write_file(path: str, lines, columns) -> None:
     """Write `lines`, then one CSV row per index of the equal-length
-    `columns`.  Worker i mod n formats chunk i: 0 is this process, which
-    writes every chunk in order, so the bytes do not depend on n; the others
-    are forks, none while a second Python thread could hold a lock."""
+    `columns`.  Given two chunks, two usable CPUs and no second Python thread
+    (a fork would copy its locks), a forked worker formats the odd chunks;
+    this process writes all in order, so no byte depends on the CPU count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_lines(fh, lines)
         starts = range(0, len(columns[0]) if columns else 0, CHUNK_ROWS)
-        n = min(len(starts), MAX_WORKERS, len(os.sched_getaffinity(0))) if (
-            hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1) else 1
-        pids, pipes = [], []
-        try:
-            for k in range(1, n):
-                r, w = os.pipe()
-                pipes.append(open(r, "rb"))
-                with open(w, "wb") as out:
-                    pids.append(os.fork())
-                    if pids[-1] == 0:
-                        _send_chunks(columns, starts[k::n], out, pipes)
-            for i, lo in enumerate(starts):
-                _write_lines(fh, [_receive_chunk(pipes[i % n - 1]) if i % n
-                                  else _chunk(columns, lo)])
-        finally:
-            for pipe in pipes:   # a worker still sending exits on EPIPE
-                pipe.close()
-            for pid in pids:
+        if (len(starts) < 2 or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2
+                or threading.active_count() > 1):
+            for lo in starts:
+                _write_lines(fh, [_chunk(columns, lo)])
+            return
+        r, w = os.pipe()
+        with open(r, "rb") as pipe, open(w, "wb") as out:
+            if (pid := os.fork()) == 0:
+                _send_chunks(columns, starts[1::2], pipe, out)
+            try:
+                out.close()
+                for i, lo in enumerate(starts):
+                    _write_lines(fh, [_receive_chunk(pipe) if i % 2
+                                      else _chunk(columns, lo)])
+            finally:
+                pipe.close()    # a worker still sending exits on EPIPE
                 os.waitpid(pid, 0)
 
 

@@ -1134,6 +1134,28 @@ def test_regimes_b_indexed_rows(tmp_path):
     assert c10[-1] == "CosmologicalConstant"
 
 
+def test_regimes_takes_L_from_the_wall_block(tmp_path):
+    # The shipped b-indexed sweep without scan.L takes L = 9.0 from its wall
+    # block: the same bytes as a scan.L of that one value.
+    with open(os.path.join(CONFIG_DIR, "regimes_sweep.json"), "r",
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["wall"]["L"] == 9.0
+    outs = []
+    for scan_L in ({}, {"L": _range(9.0, 9.0, 1)}):
+        scan = {key: r for key, r in doc["scan"].items() if key != "L"}
+        cfg = _write(tmp_path, {**doc, "scan": {**scan, **scan_L}},
+                     name=f"cfg{len(outs)}.json")
+        outs.append(tmp_path / f"o{len(outs)}")
+        assert _run(["regimes", "--config", cfg, "--out", str(outs[-1]),
+                     "--quiet"]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == ["sweep_discrepancy.txt", "sweep_regimes.csv"]
+    assert sorted(os.listdir(outs[1])) == names
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
+
+
 def test_regimes_names_the_first_unusable_wall(tmp_path, capsys):
     """A wall grid is checked in one call; the error names the first wall
     (b-major) that breaks the wall rule, as its own scalar check would."""
@@ -1282,12 +1304,10 @@ def _deadline(seconds):
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
 def cpus(request, monkeypatch):
-    """The CPUs `_write_file` may run on, with MAX_WORKERS raised to match:
-    1 forks nothing, 3 forks two workers even on a 2-CPU host.  No worker
-    may be left afterwards."""
+    """The CPUs `_write_file` may run on: 1 forks nothing, 2 and 3 fork one
+    worker.  No worker may be left afterwards."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(request.param)))
-    monkeypatch.setattr(cli, "MAX_WORKERS", request.param)
     with _deadline(30):
         yield request.param
     _assert_no_children()
@@ -1361,20 +1381,22 @@ def _count_forks(monkeypatch):
                     reason="needs Linux's /proc/self/task")
 def test_write_file_forks_at_most_one_worker_from_one_thread(tmp_path,
                                                              monkeypatch):
-    # Three CPUs, the shipped MAX_WORKERS: one worker is forked.  A large
-    # matrix product first starts numpy's BLAS threads; OpenBLAS stops them
-    # at the fork, so the fork happens with this thread alone.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # Two CPUs, then three: one worker is forked each time.  A large matrix
+    # product first starts numpy's BLAS threads; OpenBLAS stops them at the
+    # fork, so each fork happens with this thread alone.
     counts = _count_forks(monkeypatch)
-    square = np.ones((400, 400))
-    square @ square
     columns = [np.arange(5000.0) / 7.0]
     path = tmp_path / "threads.csv"
-    with _deadline(30):
-        cli._write_file(str(path), ["a"], columns)
-    _assert_no_children()
-    assert cli.MAX_WORKERS == 2 and counts == [1]
-    assert path.read_bytes() == _reference_file("a", columns)
+    for n_cpus in (2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n_cpus: set(range(n)))
+        square = np.ones((400, 400))
+        square @ square
+        with _deadline(30):
+            cli._write_file(str(path), ["a"], columns)
+        _assert_no_children()
+        assert path.read_bytes() == _reference_file("a", columns)
+    assert counts == [1, 1]
 
 
 def test_write_file_with_a_second_thread_forks_nothing(tmp_path,
@@ -1403,9 +1425,9 @@ def _scan_config(tmp_path, rows):
 
 @pytest.mark.parametrize("cpus", [3], indirect=True, ids=["3cpu"])
 def test_write_file_worker_failure_exits_4(tmp_path, cpus, monkeypatch,
-                                           capsys):
-    # _cells raises only in the forked workers: the parent reads a short
-    # chunk instead of writing a truncated table.
+                                           capfd):
+    # _cells raises only in the forked worker: the parent reads a short
+    # chunk instead of writing a truncated table, and the worker says why.
     parent, cells = os.getpid(), cli._cells
 
     def cells_in_parent_only(column):
@@ -1417,14 +1439,17 @@ def test_write_file_worker_failure_exits_4(tmp_path, cpus, monkeypatch,
     cfg = _scan_config(tmp_path, 6 * cli.CHUNK_ROWS)
     assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 4
-    assert "worker stopped before its last chunk" in capsys.readouterr().err
+    err = capfd.readouterr().err
+    assert "formatting worker: RuntimeError('worker failed')" in err
+    assert "worker stopped before its last chunk" in err
 
 
 @pytest.mark.parametrize("cpus", [3], indirect=True, ids=["3cpu"])
 def test_write_file_parent_failure_exits_4(tmp_path, cpus, monkeypatch,
-                                           capsys):
-    # The parent fails writing its second chunk while both workers still
-    # have chunks to send; they must end on the closed pipes.
+                                           capfd):
+    # The parent fails writing its second chunk while the worker still has
+    # chunks to send; it must end on the closed pipe, leaving the parent
+    # alone to report the failure.
     calls, write_lines = [], cli._write_lines
 
     def failing_write_lines(fh, lines):
@@ -1437,7 +1462,7 @@ def test_write_file_parent_failure_exits_4(tmp_path, cpus, monkeypatch,
     cfg = _scan_config(tmp_path, 6 * cli.CHUNK_ROWS)
     assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 4
-    assert "no space left" in capsys.readouterr().err
+    assert capfd.readouterr().err == "i/o failure: no space left\n"
     assert len(calls) == 3
 
 
@@ -1568,16 +1593,37 @@ print("scipy" in sys.modules)
 """
 
 
+def _python(*args):
+    """Run a fresh interpreter, warnings as errors, on this checkout's src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join([src] + [p for p in (
+        os.environ.get("PYTHONPATH"),) if p])
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_only_varying_potential_full_evolve_loads_scipy(tmp_path):
     # In a fresh interpreter: the other three commands, the kinetic-only
     # evolve and a full-mode evolve under a constant V run without
     # importing scipy; a full-mode evolve with a varying V imports it.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join([src] + [p for p in (
-        os.environ.get("PYTHONPATH"),) if p])
-    run = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _SCIPY_PROBE, str(tmp_path),
-         CONFIG_DIR], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path))
+    run = _python("-c", _SCIPY_PROBE, str(tmp_path), CONFIG_DIR)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n") == ["[]", "True", ""]
+
+
+def test_module_entry_point_exits_with_main_status(tmp_path):
+    # `python -m kessence.cli` runs main and exits with its status.
+    out = tmp_path / "o"
+    run = _python("-m", "kessence.cli", "eos-scan", "--preset",
+                  "paper-point", "--out", str(out), "--quiet")
+    assert run.returncode == 0, run.stderr
+    assert sorted(os.listdir(out)) == ["paper_point_eos_scan.csv",
+                                       "paper_point_eos_scan_summary.txt"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff{}")
+    run = _python("-m", "kessence.cli", "eos-scan", "--config", str(cfg),
+                  "--out", str(tmp_path / "o2"), "--quiet")
+    assert run.returncode == 2
+    assert run.stderr.startswith("config error: ")
+    assert not (tmp_path / "o2").exists()
