@@ -14,7 +14,6 @@ from .model import (
     QuadraticPotential,
     PotentialSpec,
     ScalingSolution,
-    RegimeLabel,
     eval_F,
     eval_F_X,
     eval_F_XX,

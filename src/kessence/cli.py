@@ -2,10 +2,11 @@
 
 Every command reads one RunConfig (from --config PATH or a named --preset),
 writes CSV plus a plain-text summary into the output directory, and is
-deterministic: the same config produces byte-identical files on any number of
-CPUs, although with two or more one forked worker formats every other chunk of
-a table.  Floats are printed with repr() (shortest round-trip form), NaN as
-the token NAN, and no timestamps or absolute paths appear in any output file.
+deterministic: the same config produces byte-identical files and exit status
+on any number of CPUs, whether a forked worker formats every other chunk of a
+table, fails, or is refused.  Floats are printed with repr() (shortest
+round-trip form), NaN as the token NAN, and no timestamps or absolute paths
+appear in any output file.
 
 Each command yields its files as (name, lines, columns), after every
 check and computation that can fail; `main` alone writes them, with
@@ -57,8 +58,7 @@ from .walls import WallProfile, default_grid, sample, sample_sharpness
 
 SLOPE_TARGET = -3.0
 SLOPE_TOL = 0.01
-# Chunks of CHUNK_ROWS rows bound a table's memory.  Given two usable CPUs, a
-# forked worker formats every other one; the bytes do not depend on the count.
+# Chunks of CHUNK_ROWS rows bound a table's memory (see `_write_file`).
 CHUNK_ROWS = 1024
 
 
@@ -106,55 +106,55 @@ def _chunk(columns, lo) -> str:
 
 
 def _send_chunks(columns, starts, pipe, out) -> None:
-    """A forked worker: send each chunk as its length and UTF-8 bytes."""
+    """A forked worker: send each chunk as its length and UTF-8 bytes.  It
+    ends silently, whatever stops it: the writing process formats the rest."""
     try:
         pipe.close()    # so that the parent's close ends this worker on EPIPE
         for lo in starts:
             block = _chunk(columns, lo).encode("utf-8")
             out.write(len(block).to_bytes(8, "little") + block)
             out.flush()
-        os._exit(0)    # flushes no buffer inherited from the parent
-    except BrokenPipeError:
-        pass           # the parent stopped reading, and reports why
-    except Exception as exc:  # fd 2, not sys.stderr and its inherited buffer
-        os.write(2, f"formatting worker: {exc!r}\n".encode("utf-8"))
     finally:
-        os._exit(1)
+        os._exit(0)     # flushes no buffer inherited from the parent
 
 
-def _receive_chunk(pipe) -> str:
+def _receive_chunk(pipe):
+    """The worker's next chunk, or None if it did not send it whole."""
     size = int.from_bytes(head := pipe.read(8), "little")
-    block = pipe.read(size) if len(head) == 8 else b""
-    if len(head) < 8 or len(block) < size:
-        raise OSError("a formatting worker stopped before its last chunk")
-    return block.decode("utf-8")
+    if len(head) == 8 and len(block := pipe.read(size)) == size:
+        return block.decode("utf-8")
+    return None
 
 
 def _write_file(path: str, lines, columns) -> None:
     """Write `lines`, then one CSV row per index of the equal-length
     `columns`.  Given two chunks, two usable CPUs and no second Python thread
     (a fork would copy its locks), a forked worker formats the odd chunks;
-    this process writes all in order, so no byte depends on the CPU count."""
+    this process formats any the worker did not deliver and writes all in
+    order.  No byte or exit status depends on CPUs, worker or refused fork."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_lines(fh, lines)
         starts = range(0, len(columns[0]) if columns else 0, CHUNK_ROWS)
-        if (len(starts) < 2 or not hasattr(os, "sched_getaffinity")
-                or len(os.sched_getaffinity(0)) < 2
-                or threading.active_count() > 1):
-            for lo in starts:
-                _write_lines(fh, [_chunk(columns, lo)])
-            return
-        r, w = os.pipe()
-        with open(r, "rb") as pipe, open(w, "wb") as out:
-            if (pid := os.fork()) == 0:
-                _send_chunks(columns, starts[1::2], pipe, out)
+        pipe, pid = None, 0
+        if (len(starts) > 1 and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1
+                and threading.active_count() == 1):
             try:
-                out.close()
-                for i, lo in enumerate(starts):
-                    _write_lines(fh, [_receive_chunk(pipe) if i % 2
-                                      else _chunk(columns, lo)])
-            finally:
+                r, w = os.pipe()
+                pipe = open(r, "rb")
+                with open(w, "wb") as out:
+                    if (pid := os.fork()) == 0:
+                        _send_chunks(columns, starts[1::2], pipe, out)
+            except OSError:
+                pass    # as if the worker sent nothing
+        try:
+            for i, lo in enumerate(starts):
+                got = _receive_chunk(pipe) if i % 2 and pipe else None
+                _write_lines(fh, [_chunk(columns, lo) if got is None else got])
+        finally:
+            if pipe:
                 pipe.close()    # a worker still sending exits on EPIPE
+            if pid:
                 os.waitpid(pid, 0)
 
 

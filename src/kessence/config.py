@@ -107,6 +107,8 @@ class OutputSpec:
     stem: str = "run"
 
     def __post_init__(self):
+        if "\0" in self.directory or "\0" in self.stem:    # ends an OS path
+            raise ValueError("directory and stem must not hold a NUL character")
         # A bare file name keeps every output file inside the directory.
         if (self.stem in ("", ".", "..") or os.sep in self.stem
                 or (os.altsep and os.altsep in self.stem)):

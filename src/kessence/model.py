@@ -36,7 +36,6 @@ The closed forms emit no numpy warnings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -151,14 +150,6 @@ class ScalingSolution:
             raise ValueError("X0 must be > 0")
         if not self.a1 > 0:
             raise ValueError("a1 must be > 0")
-
-
-class RegimeLabel(str, Enum):
-    RADIATION_LIKE = "RadiationLike"
-    DARK_MATTER_LIKE = "DarkMatterLike"
-    DARK_ENERGY_MIX = "DarkEnergyMix"
-    COSMOLOGICAL_CONSTANT = "CosmologicalConstant"
-    UNCLASSIFIED = "Unclassified"
 
 
 # Classification thresholds (documented in the README). The label bands in w
@@ -319,7 +310,7 @@ def scaling_cs2_of_a(s: ScalingSolution, a, mode: str = "exact"):
 # ---------------------------------------------------------------------------
 
 def classify_regimes(w, cs2):
-    """Regime label strings (RegimeLabel values) for arrays of (w, cs2).
+    """Regime label strings for arrays of (w, cs2).
 
     CosmologicalConstant: |w + 1| <= 0.05 and cs2 <= 0.01
     DarkMatterLike:       |w|     <= 0.05 and cs2 <= 0.01
@@ -334,9 +325,7 @@ def classify_regimes(w, cs2):
          (np.abs(w) <= W_BAND) & dust,
          np.abs(w - 1.0 / 3.0) <= W_BAND,
          (-1.0 + W_BAND < w) & (w < -W_BAND)],
-        [RegimeLabel.COSMOLOGICAL_CONSTANT.value,
-         RegimeLabel.DARK_MATTER_LIKE.value,
-         RegimeLabel.RADIATION_LIKE.value,
-         RegimeLabel.DARK_ENERGY_MIX.value],
-        RegimeLabel.UNCLASSIFIED.value)
+        ["CosmologicalConstant", "DarkMatterLike", "RadiationLike",
+         "DarkEnergyMix"],
+        "Unclassified")
 

@@ -6,8 +6,10 @@ byte-for-byte determinism contract.
 """
 
 import contextlib
+import errno
 import filecmp
 import glob
+import hashlib
 import json
 import math
 import os
@@ -31,6 +33,7 @@ from kessence.cli import _fmt, main, run_wall
 from kessence.config import (
     MAX_ROWS,
     PRESET_NAMES,
+    ScanRange,
     parse_config,
     preset_config,
     serialize_config,
@@ -369,6 +372,13 @@ BAD_CONFIGS = [
          "eos-scan-X-width-overflows"),
     _bad(2, "eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3)},
                          "output": {"stem": "../x"}}, "eos-scan-stem-escapes"),
+    # a NUL would reach the OS only after main made the output directory
+    _bad(2, "eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3)},
+                         "output": {"stem": "a\u0000b"}}, "eos-scan-stem-NUL",
+         "must not hold a NUL character"),
+    _bad(2, "eos-scan", {"scan": {"X": _range(900.0, 1100.0, 3)},
+                         "output": {"directory": "o\u0000ut"}},
+         "eos-scan-directory-NUL", "must not hold a NUL character"),
     # a command whose block or ranges are missing
     _bad(2, "eos-scan", {}, "eos-scan-no-scan-X"),
     _bad(2, "wall", {}, "wall-no-wall-block"),
@@ -1290,8 +1300,20 @@ def _assert_no_children():
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail the test, instead of hanging, if the block runs over `seconds`.
-    pytest.fail is not an OSError, so main cannot turn it into exit 4."""
+    pytest.fail is not an OSError, so main cannot turn it into exit 4.
+
+    On expiry every child of this process (a hung formatting worker) is
+    SIGKILLed first, and reaped when the block ends, after the writer's own
+    `finally` has had its chance to reap it, so none outlives the test.
+    Linux lists the children in /proc/<pid>/task/<tid>/children."""
+    killed = []
+
     def expire(signum, frame):
+        for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+            with open(path) as f:
+                killed.extend(map(int, f.read().split()))
+        for pid in killed:
+            os.kill(pid, signal.SIGKILL)
         pytest.fail(f"still running after {seconds} s", pytrace=False)
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -1300,6 +1322,9 @@ def _deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+        for pid in killed:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
@@ -1423,11 +1448,26 @@ def _scan_config(tmp_path, rows):
                              "scan": {"X": _range(900.0, 1100.0, rows)}})
 
 
-@pytest.mark.parametrize("cpus", [3], indirect=True, ids=["3cpu"])
-def test_write_file_worker_failure_exits_4(tmp_path, cpus, monkeypatch,
-                                           capfd):
-    # _cells raises only in the forked worker: the parent reads a short
-    # chunk instead of writing a truncated table, and the worker says why.
+def _sha256s(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def _one_cpu_run(monkeypatch, args, out):
+    """main's files for `args` where no worker is forked: the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _run([*args, "--out", str(out), "--quiet"]) == 0
+    return _sha256s(out)
+
+
+def test_write_file_worker_failure_changes_nothing(tmp_path, cpus,
+                                                   monkeypatch, capfd):
+    # _cells raises only in the forked worker: this process formats the
+    # chunks the worker did not send, so no byte, message or exit status
+    # shows the failure.
+    args = ["eos-scan", "--config", _scan_config(tmp_path, 6 * cli.CHUNK_ROWS)]
+    reference = _one_cpu_run(monkeypatch, args, tmp_path / "ref")
     parent, cells = os.getpid(), cli._cells
 
     def cells_in_parent_only(column):
@@ -1436,12 +1476,76 @@ def test_write_file_worker_failure_exits_4(tmp_path, cpus, monkeypatch,
         return cells(column)
 
     monkeypatch.setattr(cli, "_cells", cells_in_parent_only)
-    cfg = _scan_config(tmp_path, 6 * cli.CHUNK_ROWS)
-    assert _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 4
-    err = capfd.readouterr().err
-    assert "formatting worker: RuntimeError('worker failed')" in err
-    assert "worker stopped before its last chunk" in err
+    assert _run([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert _sha256s(tmp_path / "o") == reference
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("refused", ["fork", "pipe"])
+def test_main_with_a_refused_fork_writes_the_one_cpu_bytes(tmp_path,
+                                                           monkeypatch,
+                                                           capfd, refused):
+    # A pid-limited system answers fork with EAGAIN, and a process out of
+    # file descriptors answers pipe with EMFILE: either is a worker that
+    # sent nothing.  figure1's b = 3 profile has two chunks.
+    args = ["wall", "--preset", "figure1"]
+    reference = _one_cpu_run(monkeypatch, args, tmp_path / "ref")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refuse():
+        code = errno.EAGAIN if refused == "fork" else errno.EMFILE
+        raise OSError(code, os.strerror(code))    # EAGAIN: BlockingIOError
+
+    monkeypatch.setattr(os, refused, refuse)
+    assert _run([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert _sha256s(tmp_path / "o") == reference
+    assert capfd.readouterr().err == ""
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("tail", [
+    b"", b"\x10\x00\x00", (100).to_bytes(8, "little") + b"1.5,2",
+], ids=["nothing", "short-header", "short-block"])
+def test_write_file_formats_what_the_worker_did_not_send(tmp_path, cpus,
+                                                         monkeypatch, tail):
+    # The worker sends its first chunk (chunk 1) whole, then `tail`, and
+    # exits: this process formats chunks 3 and 5 itself.
+    def send_first(columns, starts, pipe, out):
+        try:
+            block = cli._chunk(columns, starts[0]).encode("utf-8")
+            out.write(len(block).to_bytes(8, "little") + block + tail)
+            out.flush()
+        finally:
+            os._exit(0)
+
+    monkeypatch.setattr(cli, "_send_chunks", send_first)
+    k = np.arange(6 * cli.CHUNK_ROWS + 5)
+    columns = [k / 7.0, np.array(["DarkEnergyMix", ""], dtype=object)[k % 2]]
+    path = tmp_path / "partial.csv"
+    cli._write_file(str(path), ["a,b"], columns)
+    assert path.read_bytes() == _reference_file("a,b", columns)
+
+
+def test_main_raises_a_chunk_failure_as_on_one_cpu(tmp_path, cpus,
+                                                   monkeypatch, capfd):
+    # _cells fails on chunk 1 wherever it is formatted: in a worker that
+    # failure is silent, and this process meets it again, so main's caller
+    # gets the same exception on any number of CPUs.
+    rows = 3 * cli.CHUNK_ROWS
+    first_x = ScanRange(900.0, 1100.0, rows).values()[cli.CHUNK_ROWS]
+    cells = cli._cells
+
+    def failing_cells(column):
+        if column.dtype.kind == "f" and column[0] == first_x:
+            raise RuntimeError("chunk 1 failed")
+        return cells(column)
+
+    monkeypatch.setattr(cli, "_cells", failing_cells)
+    cfg = _scan_config(tmp_path, rows)
+    with pytest.raises(RuntimeError, match="^chunk 1 failed$"):
+        _run(["eos-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+              "--quiet"])
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("cpus", [3], indirect=True, ids=["3cpu"])

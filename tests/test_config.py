@@ -285,6 +285,8 @@ OUT_OF_DOMAIN = [
     ({"output": {"stem": "a/b"}}, "bare file name"),
     ({"output": {"stem": ".."}}, "bare file name"),
     ({"output": {"stem": ""}}, "bare file name"),
+    ({"output": {"stem": "a\u0000b"}}, "must not hold a NUL character"),
+    ({"output": {"directory": "o\u0000ut"}}, "must not hold a NUL character"),
 ]
 
 
